@@ -1,11 +1,11 @@
 #include "kernels/exec_engine.h"
 
 #include <algorithm>
-#include <cstring>
 #include <new>
 #include <type_traits>
 
 #include "common/bitops.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "kernels/cost_tables.h"
 #include "lut/table_cache.h"
@@ -120,41 +120,17 @@ ExecArena::threadLocal()
 
 // ---------------------------------------------------------- fingerprint
 
-namespace {
-
-constexpr std::uint64_t kFpSeed = 0x51'7a'b1'e0'0c'a1'07'00ull;
-
-std::uint64_t
-splitmix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-} // namespace
-
 std::uint64_t
 weightsFingerprint(const QuantizedMatrix& w)
 {
+    // O(1) on every call after the first per code range: the codes'
+    // content hash is memoized in their shared CodeBuffer block.
+    constexpr std::uint64_t kFpSeed = 0x51'7a'b1'e0'0c'a1'07'00ull;
     std::uint64_t h = splitmix64(kFpSeed ^ w.rows);
     h = splitmix64(h ^ w.cols);
     h = splitmix64(h ^ static_cast<std::uint64_t>(w.codec.kind()));
     h = splitmix64(h ^ w.codec.bits());
-    const std::uint16_t* codes = w.codes.data();
-    const std::size_t count = w.codes.size();
-    std::size_t i = 0;
-    for (; i + 4 <= count; i += 4) {
-        std::uint64_t chunk;
-        std::memcpy(&chunk, codes + i, sizeof chunk);
-        h = splitmix64(h ^ chunk);
-    }
-    std::uint64_t tail = 0;
-    for (; i < count; ++i) {
-        tail = (tail << 16) | codes[i];
-    }
-    return splitmix64(h ^ tail ^ count);
+    return splitmix64(h ^ w.codes.contentHash());
 }
 
 // ---------------------------------------------------------- preparation

@@ -176,7 +176,10 @@ struct PreparedGemm {
 /**
  * Content fingerprint of a weight matrix (shape, codec, codes).  Part
  * of the prepared-operand cache key: two same-shaped problems with
- * different weights must never share a PreparedGemm.
+ * different weights must never share a PreparedGemm, and two with equal
+ * weights share one whichever buffers hold them.  Mixes the shape and
+ * codec into the codes' memoized CodeBuffer::contentHash(), so only the
+ * first call per code range makes a pass over the weights.
  */
 std::uint64_t weightsFingerprint(const QuantizedMatrix& w);
 

@@ -46,6 +46,7 @@
 #include "nn/inference.h"             // IWYU pragma: export
 #include "nn/transformer.h"           // IWYU pragma: export
 #include "nn/workload.h"              // IWYU pragma: export
+#include "quant/code_buffer.h"        // IWYU pragma: export
 #include "quant/codec.h"              // IWYU pragma: export
 #include "quant/quantizer.h"          // IWYU pragma: export
 #include "serving/plan_cache.h"       // IWYU pragma: export

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "quant/code_buffer.h"
 #include "quant/codec.h"
 
 namespace localut {
@@ -47,13 +48,24 @@ struct QuantConfig {
     static std::vector<QuantConfig> paperConfigs();
 };
 
-/** A quantized matrix: row-major codes plus the dequantization scale. */
+/**
+ * A quantized matrix: row-major codes plus the dequantization scale.
+ *
+ * `codes` is a CodeBuffer: copying a QuantizedMatrix shares the codes
+ * instead of duplicating them, and a write through a copy detaches that
+ * copy first (copy on write), so every copy still behaves as a value.
+ * Aliasing rule: a reference or pointer taken from a mutating access
+ * (non-const `codes[i]`, `codes.data()`, `codes.begin()`) must not be
+ * held across a copy of the matrix (or a fingerprint of it) and written
+ * through afterwards — it would write into storage the copy shares.
+ * Fill the codes while the matrix is unique, then share it.
+ */
 struct QuantizedMatrix {
     std::size_t rows = 0;
     std::size_t cols = 0;
     ValueCodec codec = ValueCodec::signedBinary();
-    std::vector<std::uint16_t> codes; ///< row-major, one symbol per element
-    float scale = 1.0f;               ///< value = decode(code) * scale
+    CodeBuffer codes; ///< row-major, one symbol per element
+    float scale = 1.0f; ///< value = decode(code) * scale
 
     std::uint16_t
     at(std::size_t r, std::size_t c) const

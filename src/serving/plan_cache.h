@@ -151,7 +151,9 @@ class PlanCache
      * bounded) on a miss.  @p plan must be the plan the operand will
      * execute under (normally the one planFor() returned for the same
      * arguments); the returned operand satisfies
-     * prepared->matches(problem, plan).
+     * prepared->matches(problem, plan).  The fingerprint is memoized in
+     * the weights' CodeBuffer, so a hit on the same weights (or any
+     * copy of them) makes no pass over the codes.
      */
     std::shared_ptr<const PreparedGemm>
     preparedFor(const Backend& backend, const GemmProblem& problem,

@@ -128,7 +128,12 @@ struct ServingRequest {
     bool computeValues = true;                 ///< GEMM functional pass
     InferenceSession::CompiledWorkload workload; ///< workload input
 
-    /** Builds a GEMM request. */
+    /**
+     * Builds a GEMM request.  The request holds @p problem by value, but
+     * copying a GemmProblem shares its code storage (CodeBuffer), so
+     * building many requests from one problem copies no weights and all
+     * of them reuse the weights' memoized fingerprint.
+     */
     static ServingRequest gemm(
         GemmProblem problem, DesignPoint design,
         DeadlineClass lane = DeadlineClass::Interactive,

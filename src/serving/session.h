@@ -295,7 +295,12 @@ class InferenceSession
     }
 
     // ------------------------------------------------- GEMM requests
-    /** Enqueues one GEMM; returns immediately. */
+    /**
+     * Enqueues one GEMM; returns immediately.  The request takes
+     * @p problem by value; a copy shares the caller's code storage
+     * (CodeBuffer) rather than duplicating the weights, and the caller
+     * may keep mutating its own copy — a write detaches it first.
+     */
     RequestId submit(GemmProblem problem, DesignPoint design,
                      const PlanOverrides& overrides = {});
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "common/bitops.h"
 #include "common/logging.h"
@@ -225,47 +226,34 @@ shardProblem(const GemmProblem& problem, const ShardPlan& plan,
 
     GemmProblem sub;
     if (plan.spec.strategy == ShardStrategy::ColumnParallel) {
-        // W rows [lo, hi) (row-major: contiguous); all of A.
+        // W rows [lo, hi) (row-major: a contiguous view); all of A.
+        sub.w = problem.w;
         sub.w.rows = hi - lo;
-        sub.w.cols = problem.w.cols;
-        sub.w.codec = problem.w.codec;
-        sub.w.scale = problem.w.scale;
         if (!problem.w.codes.empty()) {
-            sub.w.codes.assign(
-                problem.w.codes.begin() +
-                    static_cast<std::ptrdiff_t>(lo * problem.w.cols),
-                problem.w.codes.begin() +
-                    static_cast<std::ptrdiff_t>(hi * problem.w.cols));
+            sub.w.codes = problem.w.codes.slice(lo * problem.w.cols,
+                                                (hi - lo) * problem.w.cols);
         }
         sub.a = problem.a;
     } else {
-        // W columns [lo, hi) (strided rows); A rows [lo, hi) (contiguous).
-        sub.w.rows = problem.w.rows;
+        // W columns [lo, hi) (strided rows: copied); A rows [lo, hi)
+        // (a contiguous view).
+        sub.w = problem.w;
         sub.w.cols = hi - lo;
-        sub.w.codec = problem.w.codec;
-        sub.w.scale = problem.w.scale;
         if (!problem.w.codes.empty()) {
-            sub.w.codes.reserve(sub.w.rows * sub.w.cols);
+            std::vector<std::uint16_t> cut;
+            cut.reserve(sub.w.rows * sub.w.cols);
             for (std::size_t r = 0; r < problem.w.rows; ++r) {
-                const auto row = problem.w.codes.begin() +
-                                 static_cast<std::ptrdiff_t>(
-                                     r * problem.w.cols);
-                sub.w.codes.insert(
-                    sub.w.codes.end(),
-                    row + static_cast<std::ptrdiff_t>(lo),
-                    row + static_cast<std::ptrdiff_t>(hi));
+                const std::uint16_t* row =
+                    problem.w.codes.data() + r * problem.w.cols;
+                cut.insert(cut.end(), row + lo, row + hi);
             }
+            sub.w.codes = std::move(cut);
         }
+        sub.a = problem.a;
         sub.a.rows = hi - lo;
-        sub.a.cols = problem.a.cols;
-        sub.a.codec = problem.a.codec;
-        sub.a.scale = problem.a.scale;
         if (!problem.a.codes.empty()) {
-            sub.a.codes.assign(
-                problem.a.codes.begin() +
-                    static_cast<std::ptrdiff_t>(lo * problem.a.cols),
-                problem.a.codes.begin() +
-                    static_cast<std::ptrdiff_t>(hi * problem.a.cols));
+            sub.a.codes = problem.a.codes.slice(lo * problem.a.cols,
+                                                (hi - lo) * problem.a.cols);
         }
     }
     return sub;

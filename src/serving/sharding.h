@@ -146,7 +146,11 @@ ShardPlan makeShardPlan(const Backend& backend, const GemmProblem& problem,
 /**
  * The sub-problem shard @p shardIndex executes: the W/A slice described
  * by the shard's range (codes are sliced when the problem carries them;
- * shape-only problems stay shape-only).
+ * shape-only problems stay shape-only).  Contiguous cuts are views that
+ * share the parent's code storage (ColumnParallel: W rows and all of A;
+ * RowParallel: A rows), so they cost no copy and repeated slices of one
+ * parent reuse one weight hash; only RowParallel's strided W columns are
+ * copied.
  */
 GemmProblem shardProblem(const GemmProblem& problem, const ShardPlan& plan,
                          unsigned shardIndex);

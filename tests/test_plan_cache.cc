@@ -215,6 +215,35 @@ TEST(PlanCache, ShardConfigIsPartOfTheKey)
     EXPECT_EQ(cache.stats().hits, cold.hits + 2);
 }
 
+TEST(PlanCache, PreparedHitOnACopyReusesTheWeightHashMemo)
+{
+    const BackendPtr backend = makeBackend("upmem");
+    PlanCache cache;
+    const QuantConfig cfg = QuantConfig::preset("W4A4");
+    const GemmProblem problem = makeRandomProblem(64, 96, 4, cfg, 21);
+    const GemmPlan plan =
+        cache.planFor(*backend, problem, DesignPoint::LoCaLut);
+    EXPECT_FALSE(problem.w.codes.fingerprintCached());
+    const auto first = cache.preparedFor(*backend, problem, plan);
+    EXPECT_TRUE(problem.w.codes.fingerprintCached());
+
+    // A copy (what a by-value request holds) shares the codes and so
+    // the memo: the memo is filled at most once per range, so the hit
+    // below makes no pass over the weights.
+    const GemmProblem copy = problem;
+    ASSERT_TRUE(copy.w.codes.sharesStorageWith(problem.w.codes));
+    ASSERT_TRUE(copy.w.codes.fingerprintCached());
+    EXPECT_EQ(cache.preparedFor(*backend, copy, plan), first);
+    EXPECT_EQ(cache.stats().preparedHits, 1u);
+
+    // Equal weights in a distinct buffer still share the operand.
+    const GemmProblem twin = makeRandomProblem(64, 96, 4, cfg, 21);
+    ASSERT_FALSE(twin.w.codes.sharesStorageWith(problem.w.codes));
+    EXPECT_EQ(cache.preparedFor(*backend, twin, plan), first);
+    EXPECT_EQ(cache.stats().preparedHits, 2u);
+    EXPECT_EQ(cache.stats().preparedMisses, 1u);
+}
+
 TEST(PlanCacheStress, ManyThreadsHammeringSharedShapes)
 {
     const BackendPtr backend = makeBackend("upmem");

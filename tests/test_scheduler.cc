@@ -437,6 +437,34 @@ TEST(Scheduler, ScheduledExecutionIsBitExactVsDirectSubmit)
     }
 }
 
+TEST(Scheduler, GemmRequestsFromOneProblemShareItsWeights)
+{
+    InferenceSession session(makeBackend("upmem"));
+    RequestScheduler scheduler(session);
+    const GemmProblem problem = smallProblem(3);
+    const auto reference = referenceGemmInt(problem.w, problem.a);
+
+    constexpr unsigned kRequests = 4;
+    std::vector<ServingRequest> requests;
+    for (unsigned i = 0; i < kRequests; ++i) {
+        requests.push_back(
+            ServingRequest::gemm(problem, DesignPoint::LoCaLut));
+        EXPECT_TRUE(requests.back().problem.w.codes.sharesStorageWith(
+            problem.w.codes));
+    }
+    // One at a time, so exactly one request builds the operand.
+    for (ServingRequest& request : requests) {
+        const AdmissionDecision decision =
+            scheduler.submit(std::move(request));
+        ASSERT_TRUE(decision.admitted());
+        EXPECT_EQ(scheduler.wait(decision.id).gemm.outInt, reference);
+    }
+    const PlanCache::Stats stats = session.planCacheStats();
+    EXPECT_EQ(stats.preparedMisses, 1u);
+    EXPECT_EQ(stats.preparedHits, kRequests - 1);
+    EXPECT_TRUE(problem.w.codes.fingerprintCached());
+}
+
 TEST(Scheduler, WorkloadRequestsDataParallelAndGang)
 {
     SessionOptions sessionOptions;

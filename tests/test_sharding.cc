@@ -131,6 +131,43 @@ TEST(ShardPlan, RowParallelReducesBitExactly)
     EXPECT_EQ(result.outInt, reference);
 }
 
+TEST(ShardPlan, ContiguousSlicesAreViewsOfTheParent)
+{
+    const BackendPtr backend = makeBackend("upmem");
+    const GemmProblem problem =
+        makeRandomProblem(64, 96, 8, QuantConfig::preset("W4A4"), 17);
+
+    ShardSpec spec;
+    spec.numRanks = 4;
+    const ShardPlan column =
+        makeShardPlan(*backend, problem, DesignPoint::LoCaLut, spec);
+    ASSERT_EQ(column.shards.size(), 4u);
+    for (unsigned s = 0; s < column.shards.size(); ++s) {
+        const GemmProblem slice = shardProblem(problem, column, s);
+        EXPECT_TRUE(slice.w.codes.sharesStorageWith(problem.w.codes));
+        EXPECT_TRUE(slice.a.codes.sharesStorageWith(problem.a.codes));
+        EXPECT_EQ(slice.w.at(1, 2),
+                  problem.w.at(column.shards[s].begin + 1, 2));
+        // Slicing the same parent again reuses the slice's weight hash.
+        const std::uint64_t fp = weightsFingerprint(slice.w);
+        const GemmProblem again = shardProblem(problem, column, s);
+        EXPECT_TRUE(again.w.codes.fingerprintCached());
+        EXPECT_EQ(weightsFingerprint(again.w), fp);
+    }
+
+    // RowParallel: A rows are a view, W columns are strided (copied).
+    spec.strategy = ShardStrategy::RowParallel;
+    const ShardPlan row =
+        makeShardPlan(*backend, problem, DesignPoint::LoCaLut, spec);
+    for (unsigned s = 0; s < row.shards.size(); ++s) {
+        const GemmProblem slice = shardProblem(problem, row, s);
+        EXPECT_TRUE(slice.a.codes.sharesStorageWith(problem.a.codes));
+        EXPECT_FALSE(slice.w.codes.sharesStorageWith(problem.w.codes));
+        EXPECT_EQ(slice.w.at(1, 2),
+                  problem.w.at(1, row.shards[s].begin + 2));
+    }
+}
+
 TEST(ShardPlan, RowParallelRejectsFloatConfigs)
 {
     const BackendPtr backend = makeBackend("upmem");
