@@ -1,6 +1,7 @@
 #include "common/combinatorics.h"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 
 #include "common/logging.h"
@@ -112,8 +113,9 @@ permutationUnrank(std::uint32_t rank, std::span<std::uint8_t> out)
 {
     const std::size_t n = out.size();
     LOCALUT_ASSERT(n <= 12, "permutation unrank limited to n <= 12");
-    std::vector<std::uint8_t> pool(n);
-    std::iota(pool.begin(), pool.end(), std::uint8_t{0});
+    // Allocation-free: the exec engine unranks on its per-call path.
+    std::array<std::uint8_t, 12> pool{};
+    std::iota(pool.begin(), pool.begin() + n, std::uint8_t{0});
     std::uint64_t radix = factorial(static_cast<unsigned>(n));
     LOCALUT_ASSERT(rank < radix, "permutation rank out of range");
     for (std::size_t i = 0; i < n; ++i) {
@@ -121,7 +123,8 @@ permutationUnrank(std::uint32_t rank, std::span<std::uint8_t> out)
         const std::size_t idx = static_cast<std::size_t>(rank / radix);
         rank = static_cast<std::uint32_t>(rank % radix);
         out[i] = pool[idx];
-        pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(idx));
+        std::copy(pool.begin() + idx + 1, pool.begin() + (n - i),
+                  pool.begin() + idx);
     }
 }
 

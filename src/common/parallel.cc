@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 
 namespace localut {
@@ -43,6 +44,43 @@ struct DrainScope {
     }
     ~DrainScope() { tlDrainingPool = previous; }
 };
+
+/**
+ * How long an idle hand polls before it blocks.  A GEMM submits its
+ * build batch and its sweep batch back to back; a worker that parks on
+ * the condition variable between them takes ~20 us to wake (measured
+ * on a 4-vCPU host), which is a tenth of a 4-hand smoke GEMM.  Polling
+ * a little longer than that gap bridges it, and an idle pool still
+ * stops burning its cores within the bound.
+ */
+constexpr std::chrono::microseconds kSpinFor{50};
+
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+/** Polls @p ready for up to kSpinFor; returns its last value. */
+template <typename Pred>
+bool
+spinUntil(const Pred& ready)
+{
+    const auto deadline = std::chrono::steady_clock::now() + kSpinFor;
+    do {
+        for (int i = 0; i < 64; ++i) {
+            if (ready()) {
+                return true;
+            }
+            cpuRelax();
+        }
+    } while (std::chrono::steady_clock::now() < deadline);
+    return ready();
+}
 
 } // namespace
 
@@ -122,13 +160,13 @@ TileBatch::rethrowIfError() const
     }
 }
 
-TilePool::TilePool(unsigned threads)
+TilePool::TilePool(unsigned hands)
+    : hands_(hands != 0 ? hands
+                        : std::max(1u, std::thread::hardware_concurrency()))
 {
-    if (threads == 0) {
-        threads = std::max(1u, std::thread::hardware_concurrency());
-    }
-    workers_.reserve(threads);
-    for (unsigned i = 0; i < threads; ++i) {
+    // The caller of run() is the last hand.
+    workers_.reserve(hands_ - 1);
+    for (unsigned i = 1; i < hands_; ++i) {
         workers_.emplace_back([this] { workerLoop(); });
     }
 }
@@ -148,7 +186,7 @@ TilePool::~TilePool()
 unsigned
 TilePool::concurrency() const
 {
-    return static_cast<unsigned>(workers_.size());
+    return hands_;
 }
 
 std::size_t
@@ -164,6 +202,7 @@ TilePool::retireLocked(const std::shared_ptr<TileBatch>& batch) const
     for (auto it = queue_.begin(); it != queue_.end(); ++it) {
         if (*it == batch) {
             queue_.erase(it);
+            queued_.store(queue_.size(), std::memory_order_relaxed);
             return;
         }
     }
@@ -174,6 +213,13 @@ TilePool::workerLoop()
 {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
+        if (queue_.empty() && !stopping_) {
+            lock.unlock();
+            spinUntil([this] {
+                return queued_.load(std::memory_order_relaxed) != 0;
+            });
+            lock.lock();
+        }
         workCv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
         if (queue_.empty()) {
             if (stopping_) {
@@ -187,6 +233,7 @@ TilePool::workerLoop()
             // next batch (its submitter still waits on settlement, not
             // on queue membership) and look again.
             queue_.pop_front();
+            queued_.store(queue_.size(), std::memory_order_relaxed);
             continue;
         }
         lock.unlock();
@@ -211,7 +258,7 @@ TilePool::run(std::size_t tiles,
         return;
     }
     if (tiles == 1 || workers_.empty() || tlDrainingPool == this) {
-        // Serial shapes, a poolless pool, and NESTED submissions (a
+        // Serial shapes, a one-hand pool, and NESTED submissions (a
         // tile closure re-entering the pool it is already draining a
         // tile of) all drain inline: the nested case historically
         // deadlocked on the pool's submission state.
@@ -221,11 +268,11 @@ TilePool::run(std::size_t tiles,
     auto batch = std::make_shared<TileBatch>();
     batch->fn = &fn;
     batch->count = tiles;
-    batch->claimChunk =
-        claimChunkFor(tiles, static_cast<unsigned>(workers_.size()) + 1);
+    batch->claimChunk = claimChunkFor(tiles, hands_);
     {
         std::lock_guard<std::mutex> lock(mutex_);
         queue_.push_back(batch);
+        queued_.store(queue_.size(), std::memory_order_relaxed);
     }
     workCv_.notify_all();
     // The submitter participates: with no free worker the batch still
@@ -234,6 +281,10 @@ TilePool::run(std::size_t tiles,
     {
         DrainScope scope(this);
         last = batch->drain();
+    }
+    if (!last) {
+        // Tiles still running on workers: poll before parking.
+        spinUntil([&batch] { return batch->settled(); });
     }
     {
         std::unique_lock<std::mutex> lock(mutex_);

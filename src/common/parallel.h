@@ -109,7 +109,8 @@ class TileExecutor
   public:
     virtual ~TileExecutor() = default;
 
-    /** Worker threads available to run() (1 = effectively serial). */
+    /** Hands that can run one batch's tiles at once, the calling
+     * thread included (1 = effectively serial). */
     virtual unsigned concurrency() const = 0;
 
     /**
@@ -126,19 +127,21 @@ class TileExecutor
 const TileExecutor& serialTiles();
 
 /**
- * A persistent worker pool implementing TileExecutor.  The calling
- * thread participates in the batch (a TilePool(1) still uses 2 threads'
- * worth of hands, its own plus the caller's claim loop).  Concurrent
- * run() callers enqueue independent batches that are claimed in FIFO
- * order but overlap in flight: a fully-claimed batch no longer blocks
- * the next batch from starting.  A nested run() from inside a tile of
- * this same pool drains inline on the calling thread (no deadlock).
+ * A persistent worker pool implementing TileExecutor.  TilePool(N) runs
+ * a batch on N hands: N - 1 worker threads plus the calling thread,
+ * which claims tiles too (so TilePool(1) starts no thread and drains
+ * every batch inline).  Concurrent run() callers enqueue independent
+ * batches that are claimed in FIFO order but overlap in flight: a
+ * fully-claimed batch no longer blocks the next batch from starting.
+ * A nested run() from inside a tile of this same pool drains inline on
+ * the calling thread (no deadlock).
  */
 class TilePool final : public TileExecutor
 {
   public:
-    /** @p threads worker threads; 0 picks hardware_concurrency. */
-    explicit TilePool(unsigned threads);
+    /** @p hands hands per batch (the caller's among them); 0 picks
+     * hardware_concurrency. */
+    explicit TilePool(unsigned hands);
     ~TilePool() override;
 
     TilePool(const TilePool&) = delete;
@@ -162,8 +165,11 @@ class TilePool final : public TileExecutor
     /** In-flight batches, claimed front-first (guarded by mutex_).  A
      * fully-claimed front batch is popped so workers flow onward. */
     mutable std::deque<std::shared_ptr<TileBatch>> queue_;
+    /** queue_.size(), readable without mutex_ by polling workers. */
+    mutable std::atomic<std::size_t> queued_{0};
     bool stopping_ = false;
-    std::vector<std::thread> workers_;
+    unsigned hands_ = 1;
+    std::vector<std::thread> workers_; ///< hands_ - 1 threads
 };
 
 } // namespace localut

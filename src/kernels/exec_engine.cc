@@ -5,6 +5,7 @@
 #include <type_traits>
 
 #include "common/bitops.h"
+#include "common/combinatorics.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "kernels/cost_tables.h"
@@ -102,13 +103,6 @@ ExecArena::u8(unsigned slot, std::size_t n)
 {
     LOCALUT_ASSERT(slot < kSlots, "arena slot out of range");
     return typed<std::uint8_t>(u8_, slot, n);
-}
-
-const void**
-ExecArena::ptrs(unsigned slot, std::size_t n)
-{
-    LOCALUT_ASSERT(slot < kSlots, "arena slot out of range");
-    return typed<const void*>(ptrs_, slot, n);
 }
 
 ExecArena&
@@ -375,16 +369,21 @@ namespace {
 
 // Arena slot conventions.  Caller-thread (shared preparation) buffers
 // and tile-thread scratch use distinct slots per element type, so the
-// serial path can run both out of one arena.
-constexpr unsigned kSlotActA = 0;    ///< u64: aIdx / msRank (column-major)
-constexpr unsigned kSlotPermRank = 0; ///< u32
-constexpr unsigned kSlotPerm = 0;     ///< u8
-constexpr unsigned kSlotAcc = 0;      ///< i32/f32: per-tile accumulator
-constexpr unsigned kSlotFused = 1;    ///< i32/f32: fused slices / tables
-constexpr unsigned kSlotCol = 2;      ///< i32/f32: decoded column scratch
-constexpr unsigned kSlotBatch = 3;    ///< f32: per-batch accumulator
-constexpr unsigned kSlotBuilt = 1;    ///< u8: fused-combo built flags
-constexpr unsigned kSlotSlicePtr = 1; ///< u64: per-group slice pointers
+// serial path — and a caller that drains tiles of its own batch — can
+// run both out of one arena.
+constexpr unsigned kSlotActA = 0;    ///< u64, shared: aIdx / msRank
+constexpr unsigned kSlotPermRank = 0; ///< u32, shared
+constexpr unsigned kSlotPerm = 0;     ///< u8, shared
+constexpr unsigned kSlotColSum = 1;   ///< u64, shared: LTC column sums
+constexpr unsigned kSlotAcc = 0;      ///< i32/f32, tile: accumulator
+constexpr unsigned kSlotFused = 1;    ///< i32/f32, shared: slices / tables
+constexpr unsigned kSlotCol = 2;      ///< i32/f32, tile: column scratch
+constexpr unsigned kSlotBatch = 3;    ///< f32, tile: per-batch accumulator
+
+/** Bound on one column window of per-instance fused slices or LTC
+ * tables (entries, 4 MiB at 4 bytes each): wide GEMMs build and sweep
+ * in column windows so the shared storage stays bounded. */
+constexpr std::size_t kWindowEntries = std::size_t{1} << 20;
 
 /** One output tile: rows [m0, m1) x columns [n0, n1). */
 struct TileRange {
@@ -403,12 +402,13 @@ constexpr std::size_t kMinColChunk = 16;
 
 /**
  * Cuts the output into a disjoint [rowTiles x colTiles] grid.  Columns
- * are cut first (per-column setup — fused slices, LTC tables, decoded
- * columns — is paid once per column regardless of how the columns are
- * divided, but is DUPLICATED by every row cut), no finer than
- * kMinColChunk; rows are cut only when the columns alone cannot feed
- * the target tile count, and keep >= 16 rows per tile.  rangeOf()
- * recovers the bounds from a tile index.
+ * are cut first, no finer than kMinColChunk (the naive kernel decodes
+ * each activation column once per tile, so a row cut repeats that small
+ * O(k) step); rows are cut only when the columns alone cannot feed the
+ * target tile count, and keep >= 16 rows per tile.  Fused slices and
+ * LTC tables are built before the sweep and shared by every tile, so
+ * they never limit the row cut.  rangeOf() recovers the bounds from a
+ * tile index.
  */
 struct Tiling {
     std::size_t m = 0, n = 0;
@@ -460,49 +460,60 @@ chooseTiling(std::size_t m, std::size_t n, const TileExecutor* tiles)
 }
 
 /**
- * Shrinks the ROW dimension of a tiling to at most @p maxRowTiles
- * (kernels whose per-column setup is duplicated across row tiles call
- * this with the row-cut count that keeps the duplicated work a small
- * fraction of the sweep).  Column tiles are untouched — they duplicate
- * nothing.
+ * [0, count) cut into `parts` contiguous chunks of at least `minChunk`
+ * items, a few per hand — the work split of the build phase that runs
+ * before a sweep (activation canonicalization, fused slices, LTC
+ * tables).
  */
-void
-capRowTiles(Tiling& t, std::size_t maxRowTiles)
-{
-    maxRowTiles = std::max<std::size_t>(1, maxRowTiles);
-    if (t.rowTiles <= maxRowTiles) {
-        return;
+struct Chunking {
+    std::size_t count = 0, chunk = 1, parts = 0;
+
+    std::size_t begin(std::size_t part) const { return part * chunk; }
+    std::size_t end(std::size_t part) const
+    {
+        return std::min(count, (part + 1) * chunk);
     }
-    t.rowTiles = maxRowTiles;
-    t.rowChunk = ceilDiv(t.m, t.rowTiles);
-    t.rowTiles = ceilDiv(t.m, t.rowChunk);
-    t.tiles = t.rowTiles * t.colTiles;
+};
+
+Chunking
+chunkRange(std::size_t count, std::size_t minChunk,
+           const TileExecutor* tiles)
+{
+    const unsigned conc = tiles != nullptr ? tiles->concurrency() : 1;
+    const std::size_t target =
+        conc <= 1 ? 1 : static_cast<std::size_t>(conc) * 4;
+    Chunking c;
+    c.count = count;
+    c.chunk = std::max<std::size_t>(
+        {1, minChunk, ceilDiv(count, target)});
+    c.parts = ceilDiv(count, c.chunk);
+    return c;
 }
 
-/** Runs @p fn over every tile — inline when serial (no std::function
- * materialization, preserving the zero-allocation steady state). */
+/** Runs fn(0..count-1) — inline when serial (no std::function
+ * materialization, preserving the zero-allocation steady state), else
+ * as one batch on @p tiles. */
 template <typename Fn>
 void
-runTiles(const Tiling& tiling, const TileExecutor* tiles, const Fn& fn)
+runTiles(std::size_t count, const TileExecutor* tiles, const Fn& fn)
 {
-    if (tiling.tiles <= 1 || tiles == nullptr) {
-        for (std::size_t i = 0; i < tiling.tiles; ++i) {
+    if (count <= 1 || tiles == nullptr) {
+        for (std::size_t i = 0; i < count; ++i) {
             fn(i);
         }
         return;
     }
-    tiles->run(tiling.tiles, std::function<void(std::size_t)>(fn));
+    tiles->run(count, std::function<void(std::size_t)>(fn));
 }
 
 /** The tile-local arena: the shared one when serial, per-thread when
  * the tile may be running on a pool worker. */
 ExecArena&
-tileArena(const Tiling& tiling, const TileExecutor* tiles,
+tileArena(std::size_t count, const TileExecutor* tiles,
           ExecArena& callerArena)
 {
-    return (tiling.tiles <= 1 || tiles == nullptr)
-               ? callerArena
-               : ExecArena::threadLocal();
+    return (count <= 1 || tiles == nullptr) ? callerArena
+                                            : ExecArena::threadLocal();
 }
 
 /** Explicit unpack/permute/repack (the LC design point's runtime work). */
@@ -522,71 +533,83 @@ explicitReorder(std::uint64_t wIdx, const std::uint8_t* perm, unsigned p,
 
 /**
  * Column-major canonicalization of every activation group instance:
- * msRank/permRank/perm at [nn * groups + g].  Stable insertion argsort
- * + table-driven multiset rank, allocation-free.
+ * msRank/permRank/perm at [nn * groups + g].  Shared by every tile of
+ * the sweep; canonicalizeActs() fills it one instance range at a time
+ * (instances are independent, so the build phase splits them across
+ * hands).
  */
 struct CanonicalActs {
-    const std::uint64_t* msRank = nullptr;
-    const std::uint32_t* permRank = nullptr;
-    const std::uint8_t* perm = nullptr;
+    std::uint64_t* msRank = nullptr;
+    std::uint32_t* permRank = nullptr;
+    std::uint8_t* perm = nullptr;
 };
 
 CanonicalActs
-prepCanonicalActs(const QuantizedMatrix& a, unsigned p, unsigned groups,
-                  const PreparedGemm& prep, ExecArena& arena)
+canonicalActsIn(ExecArena& arena, std::size_t instances, unsigned p)
 {
-    const std::size_t n = a.cols;
-    const std::size_t instances = static_cast<std::size_t>(groups) * n;
-    std::uint64_t* msRank = arena.u64(kSlotActA, instances);
-    std::uint32_t* permRank = arena.u32(kSlotPermRank, instances);
-    std::uint8_t* perm = arena.u8(kSlotPerm, instances * p);
+    return {arena.u64(kSlotActA, instances),
+            arena.u32(kSlotPermRank, instances),
+            arena.u8(kSlotPerm, instances * p)};
+}
+
+/** Canonicalizes instances [@p begin, @p end): stable insertion argsort
+ * + table-driven multiset rank, allocation-free. */
+void
+canonicalizeActs(const QuantizedMatrix& a, const PreparedGemm& prep,
+                 const CanonicalActs& acts, std::size_t begin,
+                 std::size_t end)
+{
+    const unsigned p = prep.p;
+    const unsigned groups = prep.groups;
     const std::size_t span = prep.config.actCodec.cardinality() + p;
     const std::uint64_t* binom = prep.msBinom.data();
 
     std::uint16_t codes[64];
     std::uint8_t order[64];
-    for (std::size_t nn = 0; nn < n; ++nn) {
-        for (unsigned g = 0; g < groups; ++g) {
-            for (unsigned i = 0; i < p; ++i) {
-                codes[i] =
-                    actCodeAt(a, static_cast<std::size_t>(g) * p + i, nn);
+    std::size_t nn = begin / groups;
+    unsigned g = static_cast<unsigned>(begin % groups);
+    for (std::size_t at = begin; at < end; ++at) {
+        for (unsigned i = 0; i < p; ++i) {
+            codes[i] =
+                actCodeAt(a, static_cast<std::size_t>(g) * p + i, nn);
+        }
+        // Stable insertion argsort (p <= 12).
+        for (unsigned i = 0; i < p; ++i) {
+            const std::uint16_t code = codes[i];
+            unsigned j = i;
+            while (j > 0 && codes[order[j - 1]] > code) {
+                order[j] = order[j - 1];
+                --j;
             }
-            // Stable insertion argsort (p <= 12).
-            for (unsigned i = 0; i < p; ++i) {
-                const std::uint16_t code = codes[i];
-                unsigned j = i;
-                while (j > 0 && codes[order[j - 1]] > code) {
-                    order[j] = order[j - 1];
-                    --j;
+            order[j] = static_cast<std::uint8_t>(i);
+        }
+        // Multiset rank of the sorted codes (colex rank sum).
+        std::uint64_t ms = 0;
+        for (unsigned i = 0; i < p; ++i) {
+            ms += binom[i * span + codes[order[i]] + i];
+        }
+        // Lehmer rank of the argsort permutation.
+        std::uint32_t pr = 0;
+        for (unsigned i = 0; i < p; ++i) {
+            unsigned smaller = 0;
+            for (unsigned j = i + 1; j < p; ++j) {
+                if (order[j] < order[i]) {
+                    ++smaller;
                 }
-                order[j] = static_cast<std::uint8_t>(i);
             }
-            // Multiset rank of the sorted codes (colex rank sum).
-            std::uint64_t ms = 0;
-            for (unsigned i = 0; i < p; ++i) {
-                ms += binom[i * span + codes[order[i]] + i];
-            }
-            // Lehmer rank of the argsort permutation.
-            std::uint32_t pr = 0;
-            for (unsigned i = 0; i < p; ++i) {
-                unsigned smaller = 0;
-                for (unsigned j = i + 1; j < p; ++j) {
-                    if (order[j] < order[i]) {
-                        ++smaller;
-                    }
-                }
-                pr = pr * (p - i) + smaller;
-            }
-            const std::size_t at = nn * groups + g;
-            msRank[at] = ms;
-            permRank[at] = pr;
-            std::uint8_t* dst = perm + at * p;
-            for (unsigned i = 0; i < p; ++i) {
-                dst[i] = order[i];
-            }
+            pr = pr * (p - i) + smaller;
+        }
+        acts.msRank[at] = ms;
+        acts.permRank[at] = pr;
+        std::uint8_t* dst = acts.perm + at * p;
+        for (unsigned i = 0; i < p; ++i) {
+            dst[i] = order[i];
+        }
+        if (++g == groups) {
+            g = 0;
+            ++nn;
         }
     }
-    return {msRank, permRank, perm};
 }
 
 /** Column-major packed activation indices aIdx[nn * groups + g]. */
@@ -658,6 +681,64 @@ gatherAccumulate(bool simd, T* acc, const T* slice, const I* idx,
         for (std::size_t i = 0; i < span; ++i) {
             acc[i] += slice[idx[i]];
         }
+    }
+}
+
+/**
+ * acc[i] += slices[0][idx[0][i]], then += slices[1][idx[1][i]], ...
+ * for N groups in one pass over [0, span).  Each element still adds the
+ * groups in ascending order, one rounding per add, so the result is
+ * bit-exact against N gatherAccumulate() passes (float included) while
+ * the accumulator is loaded and stored once instead of N times.
+ */
+template <unsigned N, typename T, typename I>
+inline void
+gatherAccumulateGroups(bool simd, T* acc, const T* const* slices,
+                       const I* const* idx, std::size_t span)
+{
+    if (simd) {
+        T* LOCALUT_RESTRICT a = acc;
+        LOCALUT_OMP_SIMD
+        for (std::size_t i = 0; i < span; ++i) {
+            T v = a[i];
+            for (unsigned j = 0; j < N; ++j) {
+                v += slices[j][idx[j][i]];
+            }
+            a[i] = v;
+        }
+    } else {
+        for (std::size_t i = 0; i < span; ++i) {
+            T v = acc[i];
+            for (unsigned j = 0; j < N; ++j) {
+                v += slices[j][idx[j][i]];
+            }
+            acc[i] = v;
+        }
+    }
+}
+
+/** Adds groups [@p g0, @p g1) of column @p nn into @p acc over rows
+ * [@p m0, @p m0 + @p span), four groups per pass. */
+template <typename T, typename I, typename SliceOf>
+inline void
+accumulateGroups(bool simd, T* acc, const SliceOf& sliceOf, const I* wIdxT,
+                 std::size_t m, std::size_t m0, std::size_t span,
+                 unsigned g0, unsigned g1)
+{
+    const T* slices[4];
+    const I* idx[4];
+    unsigned g = g0;
+    for (; g + 4 <= g1; g += 4) {
+        for (unsigned j = 0; j < 4; ++j) {
+            slices[j] = sliceOf(g + j);
+            idx[j] = wIdxT + static_cast<std::size_t>(g + j) * m + m0;
+        }
+        gatherAccumulateGroups<4>(simd, acc, slices, idx, span);
+    }
+    for (; g < g1; ++g) {
+        slices[0] = sliceOf(g);
+        idx[0] = wIdxT + static_cast<std::size_t>(g) * m + m0;
+        gatherAccumulateGroups<1>(simd, acc, slices, idx, span);
     }
 }
 
@@ -745,143 +826,118 @@ opKernel(const PreparedGemm& prep, const I* wIdxT,
 }
 
 /**
- * Canonical fused sweep: per column, collapse (reordering o canonical)
- * into one direct slice per group — fused[wIdx] =
- * canonical[msRank][reorder(wIdx)] — then stream rows against the fused
- * slices exactly like the OP kernel.  Float accumulation is batched by
- * @p batch groups (the slice window under streaming) to reproduce the
- * legacy slice-streaming summation order bit-exactly.
+ * Fused slices: (reordering o canonical) collapsed into one direct
+ * slice per activation group instance — fused[wIdx] =
+ * canonical[msRank][reorder(wIdx)] — so the row sweep is a single
+ * lookup per (row, group), exactly like the OP kernel.  The slices are
+ * built once, before the sweep, into storage every sweep tile shares.
+ * A slice is a pure function of (msRank, permRank): when that combo
+ * space is small and the GEMM has at least as many group instances,
+ * one slice per combo is built (a 3072x768x128 W4A4 GEMM has ~49k
+ * instances but only 272 combos); otherwise one per instance of the
+ * current column window.
+ */
+template <typename T>
+struct FusedSlices {
+    const T* data = nullptr;
+    std::uint64_t rows = 0;
+    unsigned groups = 0;
+    bool perCombo = false;
+    std::uint64_t permCols = 1;
+    CanonicalActs acts;
+    /** First instance of the column window (per-instance storage). */
+    std::size_t firstInstance = 0;
+
+    const T*
+    of(std::size_t nn, unsigned g) const
+    {
+        const std::size_t at = nn * groups + g;
+        const std::size_t slice =
+            perCombo ? static_cast<std::size_t>(acts.msRank[at] * permCols +
+                                                acts.permRank[at])
+                     : at - firstInstance;
+        return data + slice * rows;
+    }
+};
+
+/** Builds the fused slice of (@p msRank, @p permRank) into @p dst;
+ * @p perm is the matching argsort (explicit reordering only) and
+ * @p colScratch a rows-long buffer when the canonical LUT is not
+ * materialized. */
+template <typename T, bool kInt>
+void
+buildFusedSlice(const PreparedGemm& prep, Mode mode, bool simd,
+                std::uint64_t msRank, std::uint32_t permRank,
+                const std::uint8_t* perm, T* colScratch, T* dst)
+{
+    const CanonicalLut& canon = *prep.canonicalLut;
+    const std::uint64_t rows = canon.rows();
+    const T* col;
+    if constexpr (kInt) {
+        col = canon.dataInt();
+    } else {
+        col = canon.dataFloat();
+    }
+    if (col != nullptr) {
+        col += msRank * rows;
+    } else {
+        if constexpr (kInt) {
+            canon.columnIntInto(msRank, colScratch);
+        } else {
+            canon.columnFloatInto(msRank, colScratch);
+        }
+        col = colScratch;
+    }
+    if (mode == Mode::CanonExplicit) {
+        const unsigned p = prep.p;
+        const unsigned bw = prep.config.weightCodec.bits();
+        for (std::uint64_t wi = 0; wi < rows; ++wi) {
+            dst[wi] = col[explicitReorder(wi, perm, p, bw)];
+        }
+    } else {
+        const std::uint32_t* rCol =
+            prep.reorderLut->data() + permRank * rows;
+        gatherInto(simd, dst, col, rCol, static_cast<std::size_t>(rows));
+    }
+}
+
+/**
+ * Row sweep of one tile against shared fused slices.  Integer
+ * accumulation is order-independent; float accumulation must reproduce
+ * the legacy order exactly: direct group-ascending sums normally,
+ * per-slice-window partial sums (@p batch groups each) folded in under
+ * streaming.
  */
 template <typename T, bool kInt, typename I>
 void
-canonicalFusedKernel(const PreparedGemm& prep, const I* wIdxT,
-                     const CanonicalActs& acts, Mode mode, unsigned batch,
-                     bool simd, std::size_t n, const TileRange& range,
-                     ExecArena& arena, T* out)
+fusedSweep(const PreparedGemm& prep, const I* wIdxT,
+           const FusedSlices<T>& fused, Mode mode, unsigned batch,
+           bool simd, std::size_t n, const TileRange& range,
+           ExecArena& arena, T* out)
 {
     const std::size_t m = prep.m;
     const unsigned groups = prep.groups;
-    const unsigned p = prep.p;
-    const unsigned bw = prep.config.weightCodec.bits();
-    const CanonicalLut& canon = *prep.canonicalLut;
-    const std::uint64_t rows = canon.rows();
-    const T* canonData;
-    if constexpr (kInt) {
-        canonData = canon.dataInt();
-    } else {
-        canonData = canon.dataFloat();
-    }
-    const std::uint32_t* reorderData =
-        prep.reorderLut != nullptr ? prep.reorderLut->data() : nullptr;
-
-    // A fused slice is a pure function of (msRank, permRank).  When
-    // that combo space is small — the common small-p case — memoize
-    // slices per combo for the whole tile instead of rebuilding them
-    // per (column, group): a 3072x768x128 W4A4 GEMM has ~49k group
-    // instances but only 272 distinct combos.
-    const std::uint64_t permCols =
-        prep.reorderLut != nullptr ? prep.reorderLut->cols()
-                                   : factorial(p);
-    // Overflow-safe: only multiply once both factors are small.
-    const bool smallCombo = canon.cols() <= 4096 && permCols <= 4096;
-    const std::uint64_t combos =
-        smallCombo ? canon.cols() * permCols : 0;
-    const bool memoize = canonData != nullptr && smallCombo &&
-                         combos <= 4096 &&
-                         combos * rows <= (std::uint64_t{1} << 22);
-    const std::size_t fusedSlices =
-        memoize ? static_cast<std::size_t>(combos)
-                : static_cast<std::size_t>(groups);
-
     const std::size_t span = range.m1 - range.m0;
-    T *acc, *accBatch, *fused, *colScratch;
+    T *acc, *accBatch;
     if constexpr (kInt) {
         acc = arena.i32(kSlotAcc, span);
         accBatch = nullptr;
-        fused = arena.i32(kSlotFused, fusedSlices * rows);
-        colScratch = canonData == nullptr ? arena.i32(kSlotCol, rows)
-                                          : nullptr;
     } else {
         acc = arena.f32(kSlotAcc, span);
         accBatch = arena.f32(kSlotBatch, span);
-        fused = arena.f32(kSlotFused, fusedSlices * rows);
-        colScratch = canonData == nullptr ? arena.f32(kSlotCol, rows)
-                                          : nullptr;
     }
-    std::uint8_t* built = nullptr;
-    if (memoize) {
-        built = arena.u8(kSlotBuilt, static_cast<std::size_t>(combos));
-        std::fill(built, built + combos, std::uint8_t{0});
-    }
-    const void** slice = arena.ptrs(kSlotSlicePtr, groups);
-
-    auto buildSlice = [&](std::size_t at, T* dst) {
-        const T* col;
-        if (canonData != nullptr) {
-            col = canonData + acts.msRank[at] * rows;
-        } else {
-            if constexpr (kInt) {
-                canon.columnIntInto(acts.msRank[at], colScratch);
-            } else {
-                canon.columnFloatInto(acts.msRank[at], colScratch);
-            }
-            col = colScratch;
-        }
-        if (mode == Mode::CanonExplicit) {
-            const std::uint8_t* perm = acts.perm + at * p;
-            for (std::uint64_t wi = 0; wi < rows; ++wi) {
-                dst[wi] = col[explicitReorder(wi, perm, p, bw)];
-            }
-        } else {
-            const std::uint32_t* rCol =
-                reorderData + acts.permRank[at] * rows;
-            gatherInto(simd, dst, col, rCol,
-                       static_cast<std::size_t>(rows));
-        }
-    };
-
     for (std::size_t nn = range.n0; nn < range.n1; ++nn) {
-        // Resolve this column's fused slices (lookups hoisted out of
-        // the row sweep), building each distinct combo at most once
-        // per tile when memoizing.
-        for (unsigned g = 0; g < groups; ++g) {
-            const std::size_t at = nn * groups + g;
-            if (memoize) {
-                const std::size_t combo = static_cast<std::size_t>(
-                    acts.msRank[at] * permCols + acts.permRank[at]);
-                T* dst = fused + combo * rows;
-                if (!built[combo]) {
-                    buildSlice(at, dst);
-                    built[combo] = 1;
-                }
-                slice[g] = dst;
-            } else {
-                T* dst = fused + static_cast<std::size_t>(g) * rows;
-                buildSlice(at, dst);
-                slice[g] = dst;
-            }
-        }
-        // Row sweep against the fused slices.  Integer accumulation is
-        // order-independent; float accumulation must reproduce the
-        // legacy order exactly: direct group-ascending sums normally,
-        // per-slice-window partial sums folded in under streaming.
+        const auto sliceOf = [&](unsigned g) { return fused.of(nn, g); };
         std::fill(acc, acc + span, T{});
         if (kInt || mode != Mode::CanonStream) {
-            for (unsigned g = 0; g < groups; ++g) {
-                const T* f = static_cast<const T*>(slice[g]);
-                const I* wg = wIdxT + static_cast<std::size_t>(g) * m;
-                gatherAccumulate(simd, acc, f, wg + range.m0, span);
-            }
+            accumulateGroups(simd, acc, sliceOf, wIdxT, m, range.m0, span,
+                             0, groups);
         } else {
             for (unsigned g0 = 0; g0 < groups; g0 += batch) {
                 const unsigned gEnd = std::min(groups, g0 + batch);
                 std::fill(accBatch, accBatch + span, T{});
-                for (unsigned g = g0; g < gEnd; ++g) {
-                    const T* f = static_cast<const T*>(slice[g]);
-                    const I* wg = wIdxT + static_cast<std::size_t>(g) * m;
-                    gatherAccumulate(simd, accBatch, f, wg + range.m0,
-                                     span);
-                }
+                accumulateGroups(simd, accBatch, sliceOf, wIdxT, m,
+                                 range.m0, span, g0, gEnd);
                 vectorAdd(simd, acc, accBatch, span);
             }
         }
@@ -957,40 +1013,53 @@ canonicalDirectKernel(const PreparedGemm& prep, const I* wIdxT,
     }
 }
 
-/** LTC sweep (integer-only): per-column runtime tables + precomputed
- * weight plane indices. */
+/** LTC runtime tables of column @p nn (16 entries per group, at
+ * @p table) and the column's activation sum, built once before the
+ * sweep and shared by every row tile. */
 void
-ltcKernel(const PreparedGemm& prep, const QuantizedMatrix& a, std::size_t n,
-          const TileRange& range, ExecArena& arena, std::int32_t* out)
+ltcTables(const PreparedGemm& prep, const QuantizedMatrix& a,
+          std::size_t nn, std::int32_t* table, std::int64_t& colSum)
 {
     const unsigned g = cost::kLtcGroupSize;
     const unsigned entries = cost::kLtcTableEntries;
     const unsigned groups = prep.groups;
-    const unsigned bw = prep.config.weightCodec.bits();
     const std::size_t k = prep.k;
     const std::int32_t* aDec = prep.aDecode.data();
-    std::int32_t* table =
-        arena.i32(kSlotFused, static_cast<std::size_t>(groups) * entries);
-
-    for (std::size_t nn = range.n0; nn < range.n1; ++nn) {
-        std::int64_t colSum = 0;
-        for (unsigned gg = 0; gg < groups; ++gg) {
-            std::int32_t av[cost::kLtcGroupSize] = {};
-            for (unsigned i = 0; i < g; ++i) {
-                const std::size_t kk = static_cast<std::size_t>(gg) * g + i;
-                av[i] = kk < k ? aDec[a.at(kk, nn)] : 0;
-                colSum += av[i];
-            }
-            for (unsigned idx = 0; idx < entries; ++idx) {
-                std::int32_t sum = 0;
-                for (unsigned i = 0; i < g; ++i) {
-                    if (idx & (1u << i)) {
-                        sum += av[i];
-                    }
-                }
-                table[gg * entries + idx] = sum;
-            }
+    std::int64_t sum = 0;
+    for (unsigned gg = 0; gg < groups; ++gg) {
+        std::int32_t av[cost::kLtcGroupSize] = {};
+        for (unsigned i = 0; i < g; ++i) {
+            const std::size_t kk = static_cast<std::size_t>(gg) * g + i;
+            av[i] = kk < k ? aDec[a.at(kk, nn)] : 0;
+            sum += av[i];
         }
+        for (unsigned idx = 0; idx < entries; ++idx) {
+            std::int32_t entry = 0;
+            for (unsigned i = 0; i < g; ++i) {
+                if (idx & (1u << i)) {
+                    entry += av[i];
+                }
+            }
+            table[gg * entries + idx] = entry;
+        }
+    }
+    colSum = sum;
+}
+
+/** LTC sweep (integer-only) of one tile: the shared per-column tables
+ * (column nn's at @p tables + (nn - @p firstCol) * groups * 16) against
+ * the precomputed weight plane indices. */
+void
+ltcSweep(const PreparedGemm& prep, const std::int32_t* tables,
+         const std::int64_t* colSums, std::size_t firstCol, std::size_t n,
+         const TileRange& range, std::int32_t* out)
+{
+    const unsigned entries = cost::kLtcTableEntries;
+    const unsigned groups = prep.groups;
+    const unsigned bw = prep.config.weightCodec.bits();
+    for (std::size_t nn = range.n0; nn < range.n1; ++nn) {
+        const std::int32_t* table =
+            tables + (nn - firstCol) * groups * entries;
         for (std::size_t mm = range.m0; mm < range.m1; ++mm) {
             std::int64_t acc = 0;
             const std::uint8_t* rowIdx = &prep.ltcIdx[mm * bw * groups];
@@ -1002,7 +1071,7 @@ ltcKernel(const PreparedGemm& prep, const QuantizedMatrix& a, std::size_t n,
                 }
                 acc += prep.ltcCoeff[j] * planeSum;
             }
-            acc += prep.ltcBase * colSum;
+            acc += prep.ltcBase * colSums[nn - firstCol];
             out[mm * n + nn] = static_cast<std::int32_t>(acc);
         }
     }
@@ -1076,6 +1145,168 @@ useFusedSlices(std::uint64_t rows, std::size_t m)
     return rows <= std::max<std::uint64_t>(4 * m, 64);
 }
 
+/**
+ * Runs @p fn(range, arena) over the chooseTiling() grid of output
+ * columns [@p c0, @p c1) — one batch on @p tiles — handing each tile
+ * its arena.
+ */
+template <typename Fn>
+void
+sweepColumns(std::size_t m, std::size_t c0, std::size_t c1,
+             const TileExecutor* tiles, ExecArena& arena, const Fn& fn)
+{
+    const Tiling tiling = chooseTiling(m, c1 - c0, tiles);
+    runTiles(tiling.tiles, tiles, [&](std::size_t tile) {
+        TileRange range = tiling.rangeOf(tile);
+        range.n0 += c0;
+        range.n1 += c0;
+        fn(range, tileArena(tiling.tiles, tiles, arena));
+    });
+}
+
+/** Columns per build window when each column needs @p perColumn
+ * shared entries: kWindowEntries' worth, at least one, at most @p n. */
+std::size_t
+windowColumns(std::size_t n, std::size_t perColumn)
+{
+    return std::min(n, std::max<std::size_t>(
+                           1, kWindowEntries /
+                                  std::max<std::size_t>(1, perColumn)));
+}
+
+/** Calls @p fn(c0, c1) over consecutive windowColumns()-wide column
+ * windows of [0, @p n). */
+template <typename Fn>
+void
+forColumnWindows(std::size_t n, std::size_t perColumn, const Fn& fn)
+{
+    const std::size_t window = windowColumns(n, perColumn);
+    for (std::size_t c0 = 0; c0 < n; c0 += window) {
+        fn(c0, std::min(n, c0 + window));
+    }
+}
+
+/**
+ * The canonical modes with fused slices, in two phases per column
+ * window: (a) one batch canonicalizes the activations and builds the
+ * fused slices; (b) one batch sweeps the uncapped tile grid against
+ * them.  Each output element keeps its accumulation order, so the
+ * result is independent of the tiling.
+ */
+template <typename T, bool kInt>
+void
+executeFused(const PreparedGemm& prep, const QuantizedMatrix& a, Mode mode,
+             unsigned batch, const ExecOptions& options, ExecArena& arena,
+             T* out)
+{
+    const TileExecutor* tiles = options.tiles;
+    const std::size_t m = prep.m, n = a.cols;
+    const unsigned p = prep.p, groups = prep.groups;
+    const std::size_t instances = static_cast<std::size_t>(groups) * n;
+    const CanonicalLut& canon = *prep.canonicalLut;
+    const bool materialized = kInt ? canon.dataInt() != nullptr
+                                   : canon.dataFloat() != nullptr;
+
+    FusedSlices<T> fused;
+    fused.rows = canon.rows();
+    fused.groups = groups;
+    fused.acts = canonicalActsIn(arena, instances, p);
+    fused.permCols = prep.reorderLut != nullptr ? prep.reorderLut->cols()
+                                                : factorial(p);
+    // Overflow-safe: only multiply once both factors are small.
+    const bool smallCombo = canon.cols() <= 4096 && fused.permCols <= 4096;
+    const std::uint64_t combos =
+        smallCombo ? canon.cols() * fused.permCols : 0;
+    fused.perCombo = materialized && smallCombo && combos <= 4096 &&
+                     combos * fused.rows <= (std::uint64_t{1} << 22) &&
+                     combos <= instances;
+    const std::size_t rows = static_cast<std::size_t>(fused.rows);
+    // Build tiles of at least ~4k slice entries.
+    const std::size_t minSlices = std::max<std::size_t>(1, 4096 / rows);
+
+    auto allocFused = [&](std::size_t entries) {
+        if constexpr (kInt) {
+            return arena.i32(kSlotFused, entries);
+        } else {
+            return arena.f32(kSlotFused, entries);
+        }
+    };
+    auto colScratch = [&](ExecArena& ta) -> T* {
+        if (materialized) {
+            return nullptr;
+        }
+        if constexpr (kInt) {
+            return ta.i32(kSlotCol, rows);
+        } else {
+            return ta.f32(kSlotCol, rows);
+        }
+    };
+    auto sweep = [&](std::size_t c0, std::size_t c1) {
+        sweepColumns(m, c0, c1, tiles, arena,
+                     [&](const TileRange& range, ExecArena& ta) {
+                         withWeightIndices(prep, [&](const auto* wIdxT) {
+                             fusedSweep<T, kInt>(prep, wIdxT, fused, mode,
+                                                 batch, options.simd, n,
+                                                 range, ta, out);
+                         });
+                     });
+    };
+
+    if (fused.perCombo) {
+        T* store = allocFused(static_cast<std::size_t>(combos) * rows);
+        fused.data = store;
+        const Chunking canonChunks = chunkRange(instances, 256, tiles);
+        const Chunking comboChunks = chunkRange(combos, minSlices, tiles);
+        runTiles(canonChunks.parts + comboChunks.parts, tiles,
+                 [&](std::size_t part) {
+                     if (part < canonChunks.parts) {
+                         canonicalizeActs(a, prep, fused.acts,
+                                          canonChunks.begin(part),
+                                          canonChunks.end(part));
+                         return;
+                     }
+                     part -= canonChunks.parts;
+                     std::uint8_t perm[64];
+                     for (std::size_t c = comboChunks.begin(part);
+                          c < comboChunks.end(part); ++c) {
+                         const auto permRank =
+                             static_cast<std::uint32_t>(c % fused.permCols);
+                         if (mode == Mode::CanonExplicit) {
+                             // The argsort canonicalizeActs() ranks.
+                             permutationUnrank(permRank, {perm, p});
+                         }
+                         buildFusedSlice<T, kInt>(
+                             prep, mode, options.simd, c / fused.permCols,
+                             permRank, perm, nullptr, store + c * rows);
+                     }
+                 });
+        sweep(0, n);
+        return;
+    }
+
+    const std::size_t perColumn = static_cast<std::size_t>(groups) * rows;
+    T* store = allocFused(windowColumns(n, perColumn) * perColumn);
+    fused.data = store;
+    forColumnWindows(n, perColumn, [&](std::size_t c0, std::size_t c1) {
+        fused.firstInstance = c0 * groups;
+        const Chunking chunks =
+            chunkRange((c1 - c0) * groups, minSlices, tiles);
+        runTiles(chunks.parts, tiles, [&](std::size_t part) {
+            const std::size_t begin = fused.firstInstance + chunks.begin(part);
+            const std::size_t end = fused.firstInstance + chunks.end(part);
+            canonicalizeActs(a, prep, fused.acts, begin, end);
+            T* scratch = colScratch(tileArena(chunks.parts, tiles, arena));
+            for (std::size_t at = begin; at < end; ++at) {
+                buildFusedSlice<T, kInt>(
+                    prep, mode, options.simd, fused.acts.msRank[at],
+                    fused.acts.permRank[at], fused.acts.perm + at * p,
+                    scratch, store + (at - fused.firstInstance) * rows);
+            }
+        });
+        sweep(c0, c1);
+    });
+}
+
 template <typename T, bool kInt>
 void
 executeTyped(const GemmProblem& problem, const GemmPlan& plan,
@@ -1099,38 +1330,50 @@ executeTyped(const GemmProblem& problem, const GemmPlan& plan,
     out.resize(m * n);
     T* outData = out.data();
     const Mode mode = modeFor(plan.design, plan.streaming);
-    const Tiling tiling = chooseTiling(m, n, options.tiles);
     const TileExecutor* tiles = options.tiles;
 
     switch (mode) {
       case Mode::Naive: {
-        runTiles(tiling, tiles, [&](std::size_t tile) {
-            ExecArena& ta = tileArena(tiling, tiles, arena);
-            if constexpr (kInt) {
-                naiveIntKernel(*prep, problem, n, tiling.rangeOf(tile), ta,
-                               outData);
-            } else {
-                naiveFloatKernel(*prep, problem, n, tiling.rangeOf(tile),
-                                 ta, outData);
-            }
-        });
+        sweepColumns(m, 0, n, tiles, arena,
+                     [&](const TileRange& range, ExecArena& ta) {
+                         if constexpr (kInt) {
+                             naiveIntKernel(*prep, problem, n, range, ta,
+                                            outData);
+                         } else {
+                             naiveFloatKernel(*prep, problem, n, range, ta,
+                                              outData);
+                         }
+                     });
         return;
       }
       case Mode::Ltc: {
         if constexpr (!kInt) {
             LOCALUT_PANIC("LTC functional path is integer-only");
         } else {
-            // Row tiles rebuild every column's runtime tables (16
-            // entries per group); cap the duplication at ~25% of the
-            // per-tile sweep (chunk rows x bw planes x groups).
-            Tiling ltcTiling = tiling;
-            capRowTiles(ltcTiling,
-                        std::max<std::size_t>(
-                            1, m * prep->config.weightCodec.bits() /
-                                   (4 * cost::kLtcTableEntries)));
-            runTiles(ltcTiling, tiles, [&](std::size_t tile) {
-                ltcKernel(*prep, problem.a, n, ltcTiling.rangeOf(tile),
-                          tileArena(ltcTiling, tiles, arena), outData);
+            // Per column window: (a) build every column's runtime
+            // tables once, (b) sweep the tile grid against them.
+            const std::size_t perColumn =
+                static_cast<std::size_t>(prep->groups) *
+                cost::kLtcTableEntries;
+            const std::size_t window = windowColumns(n, perColumn);
+            std::int32_t* tables = arena.i32(kSlotFused, window * perColumn);
+            auto* colSums = reinterpret_cast<std::int64_t*>(
+                arena.u64(kSlotColSum, window));
+            forColumnWindows(n, perColumn, [&](std::size_t c0,
+                                               std::size_t c1) {
+                const Chunking chunks = chunkRange(c1 - c0, 1, tiles);
+                runTiles(chunks.parts, tiles, [&](std::size_t part) {
+                    for (std::size_t c = chunks.begin(part);
+                         c < chunks.end(part); ++c) {
+                        ltcTables(*prep, problem.a, c0 + c,
+                                  tables + c * perColumn, colSums[c]);
+                    }
+                });
+                sweepColumns(m, c0, c1, tiles, arena,
+                             [&](const TileRange& range, ExecArena&) {
+                                 ltcSweep(*prep, tables, colSums, c0, n,
+                                          range, outData);
+                             });
             });
         }
         return;
@@ -1148,48 +1391,45 @@ executeTyped(const GemmProblem& problem, const GemmPlan& plan,
         LOCALUT_REQUIRE(table != nullptr,
                         "operation-packed LUT has no entries for this "
                         "element type");
-        runTiles(tiling, tiles, [&](std::size_t tile) {
-            withWeightIndices(*prep, [&](const auto* wIdxT) {
-                opKernel<T>(*prep, wIdxT, aIdx, table, lut.rows(),
-                            options.simd, n, tiling.rangeOf(tile),
-                            tileArena(tiling, tiles, arena), outData);
-            });
-        });
+        sweepColumns(m, 0, n, tiles, arena,
+                     [&](const TileRange& range, ExecArena& ta) {
+                         withWeightIndices(*prep, [&](const auto* wIdxT) {
+                             opKernel<T>(*prep, wIdxT, aIdx, table,
+                                         lut.rows(), options.simd, n, range,
+                                         ta, outData);
+                         });
+                     });
         return;
       }
       case Mode::CanonExplicit:
       case Mode::CanonReorder:
       case Mode::CanonStream: {
-        const CanonicalActs acts = prepCanonicalActs(
-            problem.a, prep->p, prep->groups, *prep, arena);
         const unsigned batch = mode == Mode::CanonStream
                                    ? std::max(1u, prep->kSlices)
                                    : prep->groups;
         if (useFusedSlices(prep->canonicalLut->rows(), m)) {
-            // Row tiles rebuild every column's fused slices (rows
-            // entries per group); keep that duplication under ~25% of
-            // the per-tile sweep (chunk rows x groups lookups).
-            Tiling fusedTiling = tiling;
-            capRowTiles(fusedTiling,
-                        std::max<std::size_t>(
-                            1, m / (4 * prep->canonicalLut->rows())));
-            runTiles(fusedTiling, tiles, [&](std::size_t tile) {
-                withWeightIndices(*prep, [&](const auto* wIdxT) {
-                    canonicalFusedKernel<T, kInt>(
-                        *prep, wIdxT, acts, mode, batch, options.simd, n,
-                        fusedTiling.rangeOf(tile),
-                        tileArena(fusedTiling, tiles, arena), outData);
-                });
-            });
-        } else {
-            runTiles(tiling, tiles, [&](std::size_t tile) {
-                withWeightIndices(*prep, [&](const auto* wIdxT) {
-                    canonicalDirectKernel<T, kInt>(
-                        *prep, wIdxT, acts, mode, batch, n,
-                        tiling.rangeOf(tile), outData);
-                });
-            });
+            executeFused<T, kInt>(*prep, problem.a, mode, batch, options,
+                                  arena, outData);
+            return;
         }
+        // Direct lookups: canonicalize in parallel, then sweep.
+        const std::size_t instances =
+            static_cast<std::size_t>(prep->groups) * n;
+        const CanonicalActs acts =
+            canonicalActsIn(arena, instances, prep->p);
+        const Chunking chunks = chunkRange(instances, 256, tiles);
+        runTiles(chunks.parts, tiles, [&](std::size_t part) {
+            canonicalizeActs(problem.a, *prep, acts, chunks.begin(part),
+                             chunks.end(part));
+        });
+        sweepColumns(m, 0, n, tiles, arena,
+                     [&](const TileRange& range, ExecArena&) {
+                         withWeightIndices(*prep, [&](const auto* wIdxT) {
+                             canonicalDirectKernel<T, kInt>(
+                                 *prep, wIdxT, acts, mode, batch, n, range,
+                                 outData);
+                         });
+                     });
         return;
       }
     }
@@ -1245,18 +1485,16 @@ executeReferenceTyped(const GemmProblem& problem,
     const std::size_t m = problem.m(), n = problem.n();
     out.resize(m * n);
     T* outData = out.data();
-    const Tiling tiling = chooseTiling(m, n, options.tiles);
-    const TileExecutor* tiles = options.tiles;
-    runTiles(tiling, tiles, [&](std::size_t tile) {
-        ExecArena& ta = tileArena(tiling, tiles, arena);
-        if constexpr (kInt) {
-            naiveIntKernel(*prep, problem, n, tiling.rangeOf(tile), ta,
-                           outData);
-        } else {
-            naiveFloatKernel(*prep, problem, n, tiling.rangeOf(tile), ta,
-                             outData);
-        }
-    });
+    sweepColumns(m, 0, n, options.tiles, arena,
+                 [&](const TileRange& range, ExecArena& ta) {
+                     if constexpr (kInt) {
+                         naiveIntKernel(*prep, problem, n, range, ta,
+                                        outData);
+                     } else {
+                         naiveFloatKernel(*prep, problem, n, range, ta,
+                                          outData);
+                     }
+                 });
 }
 
 } // namespace

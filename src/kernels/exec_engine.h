@@ -68,8 +68,6 @@ class ExecArena
     std::uint32_t* u32(unsigned slot, std::size_t n);
     std::uint16_t* u16(unsigned slot, std::size_t n);
     std::uint8_t* u8(unsigned slot, std::size_t n);
-    /** Pointer scratch (elements are `const void*`; cast per read). */
-    const void** ptrs(unsigned slot, std::size_t n);
 
     /** Times any buffer grew (== heap allocations performed). */
     std::uint64_t allocations() const { return allocations_; }
@@ -103,7 +101,6 @@ class ExecArena
     Buffer u32_[kSlots];
     Buffer u16_[kSlots];
     Buffer u8_[kSlots];
-    Buffer ptrs_[kSlots];
     std::uint64_t allocations_ = 0;
     std::uint64_t bytesReserved_ = 0;
 };

@@ -811,7 +811,9 @@ InferenceSession::runTileBatch(std::size_t tiles,
     auto batch = std::make_shared<TileBatch>();
     batch->fn = &fn;
     batch->count = tiles;
-    batch->claimChunk = claimChunkFor(tiles, workerCount() + 1);
+    // The submitter is one of the workers (GEMMs execute on them), so
+    // the batch has workerCount() hands, as concurrency() reports.
+    batch->claimChunk = claimChunkFor(tiles, workerCount());
     {
         std::unique_lock<std::mutex> lock(mutex_);
         // Front of every rank queue: an idle worker's next pop helps

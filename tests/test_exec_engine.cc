@@ -7,6 +7,8 @@
  *  - the zero-allocation steady state: with a prepared operand, a warm
  *    arena, and a warm output vector, executing a GEMM performs ZERO
  *    heap allocations — asserted with a counting global allocator;
+ *  - the tile schedule: a 4-hand executor gets a full sweep grid on the
+ *    narrow fused-canonical and LTC shapes, bit-identical to serial;
  *  - ExecArena growth semantics, weight fingerprinting, the shared
  *    LUT table cache, and TilePool determinism/exception propagation.
  */
@@ -15,8 +17,10 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <stdexcept>
+#include <vector>
 
 #include "common/parallel.h"
 #include "kernels/exec_engine.h"
@@ -28,17 +32,36 @@
 //
 // Binary-wide operator new/delete replacement counting this thread's
 // allocations.  Only deltas around a measured region are asserted, so
-// gtest's own allocations elsewhere are harmless.
+// gtest's own allocations elsewhere are harmless.  Every allocating
+// form is replaced, the std::nothrow_t ones included: a form left to the
+// runtime (or a sanitizer's interceptor) would hand out memory that the
+// replaced delete frees with std::free — an alloc-dealloc mismatch, e.g.
+// for std::stable_sort's nothrow-allocated buffer.
 
 namespace {
 
 thread_local std::uint64_t tlsAllocations = 0;
 
 void*
-countedAlloc(std::size_t size)
+countedAllocOrNull(std::size_t size) noexcept
 {
     ++tlsAllocations;
-    if (void* p = std::malloc(size)) {
+    return std::malloc(size);
+}
+
+void*
+countedAlignedAllocOrNull(std::size_t size, std::align_val_t align) noexcept
+{
+    ++tlsAllocations;
+    const std::size_t alignment = static_cast<std::size_t>(align);
+    const std::size_t rounded = (size + alignment - 1) & ~(alignment - 1);
+    return std::aligned_alloc(alignment, rounded);
+}
+
+void*
+countedAlloc(std::size_t size)
+{
+    if (void* p = countedAllocOrNull(size)) {
         return p;
     }
     throw std::bad_alloc();
@@ -47,10 +70,7 @@ countedAlloc(std::size_t size)
 void*
 countedAlignedAlloc(std::size_t size, std::align_val_t align)
 {
-    ++tlsAllocations;
-    const std::size_t alignment = static_cast<std::size_t>(align);
-    const std::size_t rounded = (size + alignment - 1) & ~(alignment - 1);
-    if (void* p = std::aligned_alloc(alignment, rounded)) {
+    if (void* p = countedAlignedAllocOrNull(size, align)) {
         return p;
     }
     throw std::bad_alloc();
@@ -80,6 +100,32 @@ void*
 operator new[](std::size_t size, std::align_val_t align)
 {
     return countedAlignedAlloc(size, align);
+}
+
+void*
+operator new(std::size_t size, const std::nothrow_t&) noexcept
+{
+    return countedAllocOrNull(size);
+}
+
+void*
+operator new[](std::size_t size, const std::nothrow_t&) noexcept
+{
+    return countedAllocOrNull(size);
+}
+
+void*
+operator new(std::size_t size, std::align_val_t align,
+             const std::nothrow_t&) noexcept
+{
+    return countedAlignedAllocOrNull(size, align);
+}
+
+void*
+operator new[](std::size_t size, std::align_val_t align,
+               const std::nothrow_t&) noexcept
+{
+    return countedAlignedAllocOrNull(size, align);
 }
 
 void
@@ -126,6 +172,30 @@ operator delete(void* p, std::size_t, std::align_val_t) noexcept
 
 void
 operator delete[](void* p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, const std::nothrow_t&) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p, const std::nothrow_t&) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept
 {
     std::free(p);
 }
@@ -227,6 +297,79 @@ TEST(ExecEngine, FloatPathsMatchLegacySemantics)
         executeGemmFloat(problem, plan, options, out);
         EXPECT_EQ(out, unprepared);
     }
+}
+
+/** Reports 4 hands but runs each batch inline, recording its size. */
+class CountingTiles final : public TileExecutor
+{
+  public:
+    unsigned concurrency() const override { return 4; }
+
+    void
+    run(std::size_t tiles,
+        const std::function<void(std::size_t)>& fn) const override
+    {
+        batches.push_back(tiles);
+        for (std::size_t i = 0; i < tiles; ++i) {
+            fn(i);
+        }
+    }
+
+    mutable std::vector<std::size_t> batches;
+};
+
+TEST(ExecEngine, NarrowGemmsGetAFullSweepGridOnFourHands)
+{
+    // The smoke bench's W4A4 gate shape: p = 2 gives a 256-row LUT, so
+    // the fused canonical path used to cap the row cut at one tile and,
+    // with the 16-column floor at n = 32, ran 2 tiles on any pool.  The
+    // sweep (the last batch) must now get at least one tile per hand,
+    // bit-identical to serial execution, on the int and float streaming
+    // fused paths, explicit reordering and LTC.
+    const std::size_t m = 512, k = 256, n = 32;
+    const GemmEngine engine(PimSystemConfig::upmemServer());
+    PlanOverrides overrides;
+    overrides.p = 2;
+
+    const GemmProblem intProblem =
+        makeRandomProblem(m, k, n, QuantConfig::preset("W4A4"), 42);
+    const GemmPlan intPlan =
+        engine.plan(intProblem, DesignPoint::LoCaLut, overrides);
+    ASSERT_EQ(intPlan.p, 2u);
+    const GemmPlan ltcPlan =
+        syntheticPlan(intProblem, DesignPoint::Ltc, 1);
+    // Explicit reordering builds its per-combo slices from unranked
+    // permutations; check it against the reference, not only serial.
+    const GemmPlan explicitPlan =
+        syntheticPlan(intProblem, DesignPoint::OpLc, 2);
+    const auto reference = referenceGemmInt(intProblem.w, intProblem.a);
+    for (const GemmPlan* plan : {&intPlan, &ltcPlan, &explicitPlan}) {
+        SCOPED_TRACE(designPointName(plan->design));
+        std::vector<std::int32_t> serial, tiled;
+        executeGemmInt(intProblem, *plan, {}, serial);
+        EXPECT_EQ(serial, reference);
+        CountingTiles counting;
+        ExecOptions options;
+        options.tiles = &counting;
+        executeGemmInt(intProblem, *plan, options, tiled);
+        ASSERT_FALSE(counting.batches.empty());
+        EXPECT_GE(counting.batches.back(), 4u);
+        EXPECT_EQ(tiled, serial);
+    }
+
+    const GemmProblem floatProblem =
+        makeRandomProblem(m, k, n, QuantConfig::fpPreset(1, 8), 42);
+    const GemmPlan floatPlan = syntheticPlan(
+        floatProblem, DesignPoint::LoCaLut, 2, /*streaming=*/true, 4);
+    std::vector<float> serial, tiled;
+    executeGemmFloat(floatProblem, floatPlan, {}, serial);
+    CountingTiles counting;
+    ExecOptions options;
+    options.tiles = &counting;
+    executeGemmFloat(floatProblem, floatPlan, options, tiled);
+    ASSERT_FALSE(counting.batches.empty());
+    EXPECT_GE(counting.batches.back(), 4u);
+    EXPECT_EQ(tiled, serial);
 }
 
 TEST(ExecEngine, SteadyStateExecutionPerformsZeroAllocations)

@@ -10,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -83,12 +86,43 @@ TEST(TilePoolTest, RunsEveryTileExactlyOnce)
 
 TEST(TilePoolTest, ZeroWorkerPoolDegradesToSerial)
 {
-    // TilePool(0) resolves to hardware_concurrency, never zero workers;
-    // the serial fallback is exercised through the tiles==1 path.
+    // TilePool(0) resolves to hardware_concurrency hands, never zero;
+    // TilePool(1) is one hand — the caller — so it starts no worker and
+    // drains inline (TilePoolOfNRunsOnAtMostNThreads checks the ids).
     TilePool pool(1);
     std::atomic<int> hits{0};
     pool.run(1, [&](std::size_t) { hits.fetch_add(1); });
     EXPECT_EQ(hits.load(), 1);
+}
+
+TEST(TilePoolTest, TilePoolOfNRunsOnAtMostNThreads)
+{
+    // N means N hands, the submitting thread included: one batch never
+    // sees more than N distinct threads, and TilePool(1) runs every tile
+    // on the caller.  Tiles spin briefly so every worker has time to
+    // join the batch.
+    for (unsigned hands : {1u, 2u, 3u, 4u}) {
+        TilePool pool(hands);
+        EXPECT_EQ(pool.concurrency(), hands);
+        std::mutex idsMutex;
+        std::vector<std::thread::id> ids;
+        pool.run(64, [&](std::size_t) {
+            const auto until = std::chrono::steady_clock::now() +
+                               std::chrono::microseconds(200);
+            while (std::chrono::steady_clock::now() < until) {
+            }
+            std::lock_guard<std::mutex> lock(idsMutex);
+            if (std::find(ids.begin(), ids.end(),
+                          std::this_thread::get_id()) == ids.end()) {
+                ids.push_back(std::this_thread::get_id());
+            }
+        });
+        EXPECT_LE(ids.size(), hands) << "hands=" << hands;
+        if (hands == 1) {
+            ASSERT_EQ(ids.size(), 1u);
+            EXPECT_EQ(ids[0], std::this_thread::get_id());
+        }
+    }
 }
 
 TEST(TilePoolTest, ConcurrentRunCallersDoNotSerializeOrDeadlock)
