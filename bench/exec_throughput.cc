@@ -2,10 +2,12 @@
  * @file
  * Functional execution throughput: prepared-operand engine vs ad-hoc
  * (unprepared) execution vs the frozen pre-engine kernels, on the
- * fig09-class GEMM and an OPT-125M decode step, across 1/2/4/8 tile
- * threads.  Emits BENCH_exec.json (the perf trajectory artifact the CI
- * perf-smoke job archives) and, under --smoke, exits non-zero when
- * prepared execution fails to keep up with unprepared execution.
+ * fig09-class GEMM across 1/2/4/8 tile threads and an OPT-125M decode
+ * step whose GEMM shapes are also timed at 1/2/4 hands.  Emits
+ * BENCH_exec.json (the perf trajectory artifact the CI perf-smoke job
+ * archives, stamped with the host's CPU model, compiler and build
+ * flavor) and, under --smoke, exits non-zero when prepared execution
+ * fails to keep up with unprepared execution.
  *
  * The "legacy" baseline is a frozen copy of the PR-3 canonical
  * executor (per-call table construction, per-element LUT-object
@@ -17,6 +19,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -222,6 +225,50 @@ find(const std::string& label, const std::string& mode, unsigned threads)
     return nullptr;
 }
 
+/** The host CPU's model name (Linux /proc/cpuinfo), or "unknown". */
+std::string
+cpuModel()
+{
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(cpuinfo, line)) {
+        if (line.rfind("model name", 0) == 0) {
+            const std::size_t colon = line.find(':');
+            if (colon != std::string::npos && colon + 2 <= line.size()) {
+                return line.substr(colon + 2);
+            }
+        }
+    }
+    return "unknown";
+}
+
+std::string
+compilerName()
+{
+#if defined(__clang__)
+    return "clang " + std::string(__clang_version__);
+#elif defined(__GNUC__)
+    return "gcc " + std::to_string(__GNUC__) + "." +
+           std::to_string(__GNUC_MINOR__) + "." +
+           std::to_string(__GNUC_PATCHLEVEL__);
+#else
+    return "unknown";
+#endif
+}
+
+/** Optimization and assertion state of this build. */
+const char*
+buildFlavor()
+{
+#if defined(__OPTIMIZE__) && defined(NDEBUG)
+    return "optimized, NDEBUG";
+#elif defined(__OPTIMIZE__)
+    return "optimized, assertions on";
+#else
+    return "unoptimized";
+#endif
+}
+
 void
 writeJson(bool smoke, double vsLegacy, double vsUnprepared,
           double simdVsScalar, double scale8t, double decodePrepared,
@@ -236,6 +283,10 @@ writeJson(bool smoke, double vsLegacy, double vsUnprepared,
     std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
     std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
                  hardwareConcurrency());
+    std::fprintf(f,
+                 "  \"host\": {\"cpu\": \"%s\", \"compiler\": \"%s\", "
+                 "\"build\": \"%s\"},\n",
+                 cpuModel().c_str(), compilerName().c_str(), buildFlavor());
     std::fprintf(f, "  \"prepared_vs_legacy_1t\": %.3f,\n", vsLegacy);
     std::fprintf(f, "  \"prepared_vs_unprepared_1t\": %.3f,\n",
                  vsUnprepared);
@@ -408,7 +459,9 @@ main(int argc, char** argv)
     }
 
     // OPT-125M decode step: every decode GEMM shape weighted by its
-    // per-step execution count, prepared vs unprepared.
+    // per-step execution count, prepared vs unprepared at 1 hand, and
+    // each prepared shape again at 2 and 4 hands (n = 8 decode GEMMs
+    // split into row tiles, so their scaling gets rows of its own).
     bench::section("OPT-125M decode step (batch 8, prompt 128)");
     const QuantConfig decodeCfg = QuantConfig::preset("W4A4");
     const WorkloadSpec spec =
@@ -434,10 +487,27 @@ main(int argc, char** argv)
             minSeconds / 4, maxReps);
         decodeUnprepared += unprep * gemm.count;
         decodePrepared += prep * gemm.count;
-        record("opt125m_decode_" + std::string(gemm.role), "unprepared", 1,
-               unprep);
-        record("opt125m_decode_" + std::string(gemm.role), "prepared", 1,
-               prep);
+        const std::string label = "opt125m_decode_" + std::string(gemm.role);
+        record(label, "unprepared", 1, unprep);
+        record(label, "prepared", 1, prep);
+        const std::vector<std::int32_t> serialOut = out;
+        for (unsigned hands : {2u, 4u}) {
+            TilePool pool(hands);
+            options.tiles = &pool;
+            record(label, "prepared", hands,
+                   secondsPerCall(
+                       [&] { executeGemmInt(p, nodePlan, options, out); },
+                       minSeconds / 4, maxReps));
+            if (out != serialOut) {
+                LOCALUT_FATAL(label, " at ", hands,
+                              " hands diverged from 1 hand");
+            }
+        }
+        bench::note(label + " prepared 1/2/4 hands: " +
+                    bench::fmtSeconds(prep) + " / " +
+                    bench::fmtSeconds(find(label, "prepared", 2)->seconds) +
+                    " / " +
+                    bench::fmtSeconds(find(label, "prepared", 4)->seconds));
     }
     bench::note("decode step, unprepared: " +
                 bench::fmtSeconds(decodeUnprepared));

@@ -377,6 +377,7 @@ constexpr unsigned kSlotPerm = 0;     ///< u8, shared
 constexpr unsigned kSlotColSum = 1;   ///< u64, shared: LTC column sums
 constexpr unsigned kSlotAcc = 0;      ///< i32/f32, tile: accumulator
 constexpr unsigned kSlotFused = 1;    ///< i32/f32, shared: slices / tables
+                                      ///< (or a tile's own column block)
 constexpr unsigned kSlotCol = 2;      ///< i32/f32, tile: column scratch
 constexpr unsigned kSlotBatch = 3;    ///< f32, tile: per-batch accumulator
 
@@ -384,6 +385,14 @@ constexpr unsigned kSlotBatch = 3;    ///< f32, tile: per-batch accumulator
  * tables (entries, 4 MiB at 4 bytes each): wide GEMMs build and sweep
  * in column windows so the shared storage stays bounded. */
 constexpr std::size_t kWindowEntries = std::size_t{1} << 20;
+
+/** Output columns whose fused slices the blocked sweep interleaves. */
+constexpr std::size_t kBlockCols = 8;
+
+/** Output rows the blocked sweep advances together: kBlockStrip x
+ * kBlockCols accumulators stay in registers, and the strip's weight
+ * indices of one group come from one cache line. */
+constexpr unsigned kBlockStrip = 4;
 
 /** One output tile: rows [m0, m1) x columns [n0, n1). */
 struct TileRange {
@@ -552,59 +561,65 @@ canonicalActsIn(ExecArena& arena, std::size_t instances, unsigned p)
             arena.u8(kSlotPerm, instances * p)};
 }
 
-/** Canonicalizes instances [@p begin, @p end): stable insertion argsort
- * + table-driven multiset rank, allocation-free. */
+/** Canonicalizes activation group instance (@p nn, @p g): stable
+ * insertion argsort (copied to @p perm, p entries) + table-driven
+ * multiset and Lehmer ranks, allocation-free. */
+inline void
+canonicalizeInstance(const QuantizedMatrix& a, const PreparedGemm& prep,
+                     std::size_t nn, unsigned g, std::uint64_t& msRank,
+                     std::uint32_t& permRank, std::uint8_t* perm)
+{
+    const unsigned p = prep.p;
+    const std::size_t span = prep.config.actCodec.cardinality() + p;
+    const std::uint64_t* binom = prep.msBinom.data();
+    std::uint16_t codes[64];
+    std::uint8_t order[64];
+    for (unsigned i = 0; i < p; ++i) {
+        codes[i] = actCodeAt(a, static_cast<std::size_t>(g) * p + i, nn);
+    }
+    // Stable insertion argsort (p <= 12).
+    for (unsigned i = 0; i < p; ++i) {
+        const std::uint16_t code = codes[i];
+        unsigned j = i;
+        while (j > 0 && codes[order[j - 1]] > code) {
+            order[j] = order[j - 1];
+            --j;
+        }
+        order[j] = static_cast<std::uint8_t>(i);
+    }
+    // Multiset rank of the sorted codes (colex rank sum).
+    std::uint64_t ms = 0;
+    for (unsigned i = 0; i < p; ++i) {
+        ms += binom[i * span + codes[order[i]] + i];
+    }
+    // Lehmer rank of the argsort permutation.
+    std::uint32_t pr = 0;
+    for (unsigned i = 0; i < p; ++i) {
+        unsigned smaller = 0;
+        for (unsigned j = i + 1; j < p; ++j) {
+            if (order[j] < order[i]) {
+                ++smaller;
+            }
+        }
+        pr = pr * (p - i) + smaller;
+    }
+    msRank = ms;
+    permRank = pr;
+    std::copy(order, order + p, perm);
+}
+
+/** Canonicalizes instances [@p begin, @p end) into @p acts. */
 void
 canonicalizeActs(const QuantizedMatrix& a, const PreparedGemm& prep,
                  const CanonicalActs& acts, std::size_t begin,
                  std::size_t end)
 {
-    const unsigned p = prep.p;
     const unsigned groups = prep.groups;
-    const std::size_t span = prep.config.actCodec.cardinality() + p;
-    const std::uint64_t* binom = prep.msBinom.data();
-
-    std::uint16_t codes[64];
-    std::uint8_t order[64];
     std::size_t nn = begin / groups;
     unsigned g = static_cast<unsigned>(begin % groups);
     for (std::size_t at = begin; at < end; ++at) {
-        for (unsigned i = 0; i < p; ++i) {
-            codes[i] =
-                actCodeAt(a, static_cast<std::size_t>(g) * p + i, nn);
-        }
-        // Stable insertion argsort (p <= 12).
-        for (unsigned i = 0; i < p; ++i) {
-            const std::uint16_t code = codes[i];
-            unsigned j = i;
-            while (j > 0 && codes[order[j - 1]] > code) {
-                order[j] = order[j - 1];
-                --j;
-            }
-            order[j] = static_cast<std::uint8_t>(i);
-        }
-        // Multiset rank of the sorted codes (colex rank sum).
-        std::uint64_t ms = 0;
-        for (unsigned i = 0; i < p; ++i) {
-            ms += binom[i * span + codes[order[i]] + i];
-        }
-        // Lehmer rank of the argsort permutation.
-        std::uint32_t pr = 0;
-        for (unsigned i = 0; i < p; ++i) {
-            unsigned smaller = 0;
-            for (unsigned j = i + 1; j < p; ++j) {
-                if (order[j] < order[i]) {
-                    ++smaller;
-                }
-            }
-            pr = pr * (p - i) + smaller;
-        }
-        acts.msRank[at] = ms;
-        acts.permRank[at] = pr;
-        std::uint8_t* dst = acts.perm + at * p;
-        for (unsigned i = 0; i < p; ++i) {
-            dst[i] = order[i];
-        }
+        canonicalizeInstance(a, prep, nn, g, acts.msRank[at],
+                             acts.permRank[at], acts.perm + at * prep.p);
         if (++g == groups) {
             g = 0;
             ++nn;
@@ -612,26 +627,27 @@ canonicalizeActs(const QuantizedMatrix& a, const PreparedGemm& prep,
     }
 }
 
-/** Column-major packed activation indices aIdx[nn * groups + g]. */
-const std::uint64_t*
-prepPackedActs(const QuantizedMatrix& a, unsigned p, unsigned groups,
-               ExecArena& arena)
+/** Packs activation instances [@p begin, @p end) into the column-major
+ * indices aIdx[nn * groups + g] (instances are independent, so the
+ * build phase splits them across hands). */
+void
+packActs(const QuantizedMatrix& a, unsigned p, unsigned groups,
+         std::uint64_t* aIdx, std::size_t begin, std::size_t end)
 {
-    const std::size_t n = a.cols;
-    std::uint64_t* aIdx =
-        arena.u64(kSlotActA, static_cast<std::size_t>(groups) * n);
     const unsigned ba = a.codec.bits();
     std::uint16_t codes[64];
-    for (std::size_t nn = 0; nn < n; ++nn) {
-        for (unsigned g = 0; g < groups; ++g) {
-            for (unsigned i = 0; i < p; ++i) {
-                codes[i] =
-                    actCodeAt(a, static_cast<std::size_t>(g) * p + i, nn);
-            }
-            aIdx[nn * groups + g] = packCodes({codes, p}, ba);
+    std::size_t nn = begin / groups;
+    unsigned g = static_cast<unsigned>(begin % groups);
+    for (std::size_t at = begin; at < end; ++at) {
+        for (unsigned i = 0; i < p; ++i) {
+            codes[i] = actCodeAt(a, static_cast<std::size_t>(g) * p + i, nn);
+        }
+        aIdx[at] = packCodes({codes, p}, ba);
+        if (++g == groups) {
+            g = 0;
+            ++nn;
         }
     }
-    return aIdx;
 }
 
 // ------------------------------------------------------------- kernels
@@ -860,15 +876,17 @@ struct FusedSlices {
     }
 };
 
-/** Builds the fused slice of (@p msRank, @p permRank) into @p dst;
- * @p perm is the matching argsort (explicit reordering only) and
- * @p colScratch a rows-long buffer when the canonical LUT is not
- * materialized. */
+/** Builds the fused slice of (@p msRank, @p permRank) into @p dst, entry
+ * wi at dst[wi * @p stride] (1 = a contiguous slice, kBlockCols = one
+ * lane of an interleaved column block); @p perm is the matching argsort
+ * (explicit reordering only) and @p colScratch a rows-long buffer when
+ * the canonical LUT is not materialized. */
 template <typename T, bool kInt>
 void
 buildFusedSlice(const PreparedGemm& prep, Mode mode, bool simd,
                 std::uint64_t msRank, std::uint32_t permRank,
-                const std::uint8_t* perm, T* colScratch, T* dst)
+                const std::uint8_t* perm, T* colScratch, T* dst,
+                std::size_t stride = 1)
 {
     const CanonicalLut& canon = *prep.canonicalLut;
     const std::uint64_t rows = canon.rows();
@@ -892,12 +910,17 @@ buildFusedSlice(const PreparedGemm& prep, Mode mode, bool simd,
         const unsigned p = prep.p;
         const unsigned bw = prep.config.weightCodec.bits();
         for (std::uint64_t wi = 0; wi < rows; ++wi) {
-            dst[wi] = col[explicitReorder(wi, perm, p, bw)];
+            dst[wi * stride] = col[explicitReorder(wi, perm, p, bw)];
         }
-    } else {
-        const std::uint32_t* rCol =
-            prep.reorderLut->data() + permRank * rows;
+        return;
+    }
+    const std::uint32_t* rCol = prep.reorderLut->data() + permRank * rows;
+    if (stride == 1) {
         gatherInto(simd, dst, col, rCol, static_cast<std::size_t>(rows));
+        return;
+    }
+    for (std::uint64_t wi = 0; wi < rows; ++wi) {
+        dst[wi * stride] = col[rCol[wi]];
     }
 }
 
@@ -942,6 +965,131 @@ fusedSweep(const PreparedGemm& prep, const I* wIdxT,
             }
         }
         writeColumn(acc, out, n, nn, range.m0, range.m1);
+    }
+}
+
+// ------------------------------------------------- blocked fused sweep
+//
+// The fused slices of kBlockCols adjacent output columns, interleaved
+// per (group, weight index): block[(g * rows + wi) * kBlockCols + c] is
+// column c's slice entry.  One weight-index load then feeds kBlockCols
+// accumulators — adjacent elements of the row-major output — with one
+// contiguous kBlockCols-wide row add, which vectorizes without gathers.
+// Each element still adds its groups in ascending order (per slice
+// window under streaming), so the result is bit-exact against
+// fusedSweep() for int and float alike.
+
+/** acc[r][c] += block[g][wIdx[g * m + r]][c] over groups [g0, g1). */
+template <unsigned R, bool kSimd, typename T, typename I>
+inline void
+blockedGroups(T (&acc)[R][kBlockCols], const T* block, std::size_t rows,
+              const I* wIdx, std::size_t m, unsigned g0, unsigned g1)
+{
+    for (unsigned g = g0; g < g1; ++g) {
+        const T* slab = block + static_cast<std::size_t>(g) * rows *
+                                    kBlockCols;
+        const I* ix = wIdx + static_cast<std::size_t>(g) * m;
+        for (unsigned r = 0; r < R; ++r) {
+            const T* row = slab + static_cast<std::size_t>(ix[r]) *
+                                      kBlockCols;
+            if constexpr (kSimd) {
+                LOCALUT_OMP_SIMD
+                for (std::size_t c = 0; c < kBlockCols; ++c) {
+                    acc[r][c] += row[c];
+                }
+            } else {
+                for (std::size_t c = 0; c < kBlockCols; ++c) {
+                    acc[r][c] += row[c];
+                }
+            }
+        }
+    }
+}
+
+/** R output rows x one column block: adds groups [@p g0, @p g1) (per
+ * @p batch-group partials when @p windows; g0 is then window-aligned)
+ * into the R x kBlockCols accumulators at @p acc. */
+template <unsigned R, bool kSimd, typename T, typename I>
+inline void
+blockedStrip(const T* block, std::size_t rows, const I* wIdx, std::size_t m,
+             unsigned g0, unsigned g1, bool windows, unsigned batch, T* acc)
+{
+    T sum[R][kBlockCols];
+    std::copy(acc, acc + R * kBlockCols, &sum[0][0]);
+    if (!windows) {
+        blockedGroups<R, kSimd>(sum, block, rows, wIdx, m, g0, g1);
+    } else {
+        for (unsigned w0 = g0; w0 < g1; w0 += batch) {
+            T part[R][kBlockCols] = {};
+            blockedGroups<R, kSimd>(part, block, rows, wIdx, m, w0,
+                                    std::min(g1, w0 + batch));
+            for (unsigned r = 0; r < R; ++r) {
+                for (std::size_t c = 0; c < kBlockCols; ++c) {
+                    sum[r][c] += part[r][c];
+                }
+            }
+        }
+    }
+    std::copy(&sum[0][0], &sum[0][0] + R * kBlockCols, acc);
+}
+
+/**
+ * Sweeps rows [@p m0, @p m1) of the column block starting at output
+ * column @p c0 against its interleaved @p block.  Groups go in chunks of
+ * about kChunkEntries block entries (whole slice windows), each chunk
+ * over every row of the tile, so the part of the block in use stays
+ * cache-resident however large k is; the accumulators carry across
+ * chunks in the tile's scratch, which keeps every element's group order.
+ */
+template <typename T, typename I>
+void
+blockedSweep(const PreparedGemm& prep, const I* wIdxT, const T* block,
+             std::size_t rows, bool windows, unsigned batch, bool simd,
+             std::size_t n, std::size_t c0, std::size_t m0, std::size_t m1,
+             ExecArena& arena, T* out)
+{
+    constexpr std::size_t kChunkEntries = std::size_t{1} << 13;
+    const std::size_t m = prep.m;
+    const unsigned groups = prep.groups;
+    const std::size_t span = m1 - m0;
+    T* acc;
+    if constexpr (std::is_same_v<T, std::int32_t>) {
+        acc = arena.i32(kSlotAcc, span * kBlockCols);
+    } else {
+        acc = arena.f32(kSlotAcc, span * kBlockCols);
+    }
+    std::fill(acc, acc + span * kBlockCols, T{});
+    unsigned chunk = static_cast<unsigned>(std::max<std::size_t>(
+        1, kChunkEntries / (rows * kBlockCols)));
+    if (windows) {
+        chunk = static_cast<unsigned>(ceilDiv(chunk, batch)) * batch;
+    }
+    const auto run = [&](auto simdTag) {
+        constexpr bool kSimd = decltype(simdTag)::value;
+        for (unsigned g0 = 0; g0 < groups; g0 += chunk) {
+            const unsigned g1 = std::min(groups, g0 + chunk);
+            std::size_t mm = m0;
+            for (; mm + kBlockStrip <= m1; mm += kBlockStrip) {
+                blockedStrip<kBlockStrip, kSimd>(
+                    block, rows, wIdxT + mm, m, g0, g1, windows, batch,
+                    acc + (mm - m0) * kBlockCols);
+            }
+            for (; mm < m1; ++mm) {
+                blockedStrip<1, kSimd>(block, rows, wIdxT + mm, m, g0, g1,
+                                       windows, batch,
+                                       acc + (mm - m0) * kBlockCols);
+            }
+        }
+    };
+    if (simd) {
+        run(std::true_type{});
+    } else {
+        run(std::false_type{});
+    }
+    const std::size_t width = std::min(kBlockCols, n - c0);
+    for (std::size_t mm = m0; mm < m1; ++mm) {
+        std::copy(acc + (mm - m0) * kBlockCols,
+                  acc + (mm - m0) * kBlockCols + width, out + mm * n + c0);
     }
 }
 
@@ -1145,6 +1293,16 @@ useFusedSlices(std::uint64_t rows, std::size_t m)
     return rows <= std::max<std::uint64_t>(4 * m, 64);
 }
 
+/** Blocked-sweep rule: interleaving a column block costs groups * rows
+ * * kBlockCols and sweeping it groups * m steps, so block when the
+ * build is no larger than the sweep and one block fits a build window. */
+bool
+useBlockedSweep(std::uint64_t rows, std::size_t m, unsigned groups)
+{
+    return rows * kBlockCols <= m &&
+           groups * rows * kBlockCols <= kWindowEntries;
+}
+
 /**
  * Runs @p fn(range, arena) over the chooseTiling() grid of output
  * columns [@p c0, @p c1) — one batch on @p tiles — handing each tile
@@ -1186,6 +1344,34 @@ forColumnWindows(std::size_t n, std::size_t perColumn, const Fn& fn)
     }
 }
 
+/** @p entries of fused-slice storage in @p arena's kSlotFused. */
+template <typename T>
+T*
+fusedStore(ExecArena& arena, std::size_t entries)
+{
+    if constexpr (std::is_same_v<T, std::int32_t>) {
+        return arena.i32(kSlotFused, entries);
+    } else {
+        return arena.f32(kSlotFused, entries);
+    }
+}
+
+/** A rows-long canonical column buffer for buildFusedSlice(); null when
+ * the canonical LUT is materialized. */
+template <typename T>
+T*
+columnScratch(ExecArena& arena, std::size_t rows, bool materialized)
+{
+    if (materialized) {
+        return nullptr;
+    }
+    if constexpr (std::is_same_v<T, std::int32_t>) {
+        return arena.i32(kSlotCol, rows);
+    } else {
+        return arena.f32(kSlotCol, rows);
+    }
+}
+
 /**
  * The canonical modes with fused slices, in two phases per column
  * window: (a) one batch canonicalizes the activations and builds the
@@ -1224,23 +1410,6 @@ executeFused(const PreparedGemm& prep, const QuantizedMatrix& a, Mode mode,
     // Build tiles of at least ~4k slice entries.
     const std::size_t minSlices = std::max<std::size_t>(1, 4096 / rows);
 
-    auto allocFused = [&](std::size_t entries) {
-        if constexpr (kInt) {
-            return arena.i32(kSlotFused, entries);
-        } else {
-            return arena.f32(kSlotFused, entries);
-        }
-    };
-    auto colScratch = [&](ExecArena& ta) -> T* {
-        if (materialized) {
-            return nullptr;
-        }
-        if constexpr (kInt) {
-            return ta.i32(kSlotCol, rows);
-        } else {
-            return ta.f32(kSlotCol, rows);
-        }
-    };
     auto sweep = [&](std::size_t c0, std::size_t c1) {
         sweepColumns(m, c0, c1, tiles, arena,
                      [&](const TileRange& range, ExecArena& ta) {
@@ -1253,7 +1422,7 @@ executeFused(const PreparedGemm& prep, const QuantizedMatrix& a, Mode mode,
     };
 
     if (fused.perCombo) {
-        T* store = allocFused(static_cast<std::size_t>(combos) * rows);
+        T* store = fusedStore<T>(arena, static_cast<std::size_t>(combos) * rows);
         fused.data = store;
         const Chunking canonChunks = chunkRange(instances, 256, tiles);
         const Chunking comboChunks = chunkRange(combos, minSlices, tiles);
@@ -1285,7 +1454,7 @@ executeFused(const PreparedGemm& prep, const QuantizedMatrix& a, Mode mode,
     }
 
     const std::size_t perColumn = static_cast<std::size_t>(groups) * rows;
-    T* store = allocFused(windowColumns(n, perColumn) * perColumn);
+    T* store = fusedStore<T>(arena, windowColumns(n, perColumn) * perColumn);
     fused.data = store;
     forColumnWindows(n, perColumn, [&](std::size_t c0, std::size_t c1) {
         fused.firstInstance = c0 * groups;
@@ -1295,7 +1464,8 @@ executeFused(const PreparedGemm& prep, const QuantizedMatrix& a, Mode mode,
             const std::size_t begin = fused.firstInstance + chunks.begin(part);
             const std::size_t end = fused.firstInstance + chunks.end(part);
             canonicalizeActs(a, prep, fused.acts, begin, end);
-            T* scratch = colScratch(tileArena(chunks.parts, tiles, arena));
+            T* scratch = columnScratch<T>(
+                tileArena(chunks.parts, tiles, arena), rows, materialized);
             for (std::size_t at = begin; at < end; ++at) {
                 buildFusedSlice<T, kInt>(
                     prep, mode, options.simd, fused.acts.msRank[at],
@@ -1304,6 +1474,113 @@ executeFused(const PreparedGemm& prep, const QuantizedMatrix& a, Mode mode,
             }
         });
         sweep(c0, c1);
+    });
+}
+
+/**
+ * The blocked fused sweep (useBlockedSweep() shapes): one interleaved
+ * block of groups x rows x kBlockCols slice entries per kBlockCols
+ * output columns.  Few blocks — an n = 8 decode GEMM has one — are
+ * built together in one batch and swept as a [row range x block] grid
+ * in a second.  When the blocks alone feed every hand, each tile builds
+ * its own block in its tile arena and sweeps all of the block's rows,
+ * so a wide GEMM runs as one batch with at most one block per hand
+ * live.
+ */
+template <typename T, bool kInt>
+void
+executeBlocked(const PreparedGemm& prep, const QuantizedMatrix& a, Mode mode,
+               unsigned batch, const ExecOptions& options, ExecArena& arena,
+               T* out)
+{
+    const TileExecutor* tiles = options.tiles;
+    const std::size_t m = prep.m, n = a.cols;
+    const unsigned groups = prep.groups;
+    const CanonicalLut& canon = *prep.canonicalLut;
+    const std::size_t rows = static_cast<std::size_t>(canon.rows());
+    const bool materialized = kInt ? canon.dataInt() != nullptr
+                                   : canon.dataFloat() != nullptr;
+    const bool windows = !kInt && mode == Mode::CanonStream;
+    const std::size_t blocks = ceilDiv(n, kBlockCols);
+    const std::size_t blockEntries =
+        static_cast<std::size_t>(groups) * rows * kBlockCols;
+
+    // Builds slabs [begin, end) — slab u is group u % groups of block
+    // u / groups: the block's columns canonicalized and their slices
+    // laid into its lanes, padding lanes of a partial block zeroed — at
+    // `store` (block `firstBlock` first).  A hand owns whole slabs, so
+    // concurrent builds never write one cache line.
+    const auto build = [&](T* store, std::size_t firstBlock,
+                           std::size_t begin, std::size_t end,
+                           ExecArena& ta) {
+        T* scratch = columnScratch<T>(ta, rows, materialized);
+        std::uint8_t perm[64];
+        for (std::size_t u = begin; u < end; ++u) {
+            const std::size_t c0 = (u / groups) * kBlockCols;
+            const unsigned g = static_cast<unsigned>(u % groups);
+            const std::size_t width = std::min(kBlockCols, n - c0);
+            T* slab = store + (u - firstBlock * groups) * rows * kBlockCols;
+            for (std::size_t lane = 0; lane < width; ++lane) {
+                std::uint64_t msRank;
+                std::uint32_t permRank;
+                canonicalizeInstance(a, prep, c0 + lane, g, msRank,
+                                     permRank, perm);
+                buildFusedSlice<T, kInt>(prep, mode, options.simd, msRank,
+                                         permRank, perm, scratch,
+                                         slab + lane, kBlockCols);
+            }
+            if (width < kBlockCols) {
+                for (std::size_t wi = 0; wi < rows; ++wi) {
+                    std::fill(slab + wi * kBlockCols + width,
+                              slab + (wi + 1) * kBlockCols, T{});
+                }
+            }
+        }
+    };
+    const auto sweep = [&](const T* block, std::size_t b, std::size_t m0,
+                           std::size_t m1, ExecArena& ta) {
+        withWeightIndices(prep, [&](const auto* wIdxT) {
+            blockedSweep(prep, wIdxT, block, rows, windows, batch,
+                         options.simd, n, b * kBlockCols, m0, m1, ta, out);
+        });
+    };
+
+    const unsigned conc = tiles != nullptr ? tiles->concurrency() : 1;
+    const std::size_t target = static_cast<std::size_t>(conc) * 4;
+    if (blocks >= target || blocks * blockEntries > kWindowEntries) {
+        runTiles(blocks, tiles, [&](std::size_t b) {
+            ExecArena& ta = tileArena(blocks, tiles, arena);
+            T* store = fusedStore<T>(ta, blockEntries);
+            build(store, b, b * groups, (b + 1) * groups, ta);
+            sweep(store, b, 0, m, ta);
+        });
+        return;
+    }
+
+    T* store = fusedStore<T>(arena, blocks * blockEntries);
+    const Chunking chunks =
+        chunkRange(blocks * groups,
+                   std::max<std::size_t>(1, 4096 / (rows * kBlockCols)),
+                   tiles);
+    runTiles(chunks.parts, tiles, [&](std::size_t part) {
+        build(store, 0, chunks.begin(part), chunks.end(part),
+              tileArena(chunks.parts, tiles, arena));
+    });
+    // Row tiles of whole strips, >= 16 rows each, enough of them that
+    // the grid has about `target` tiles.
+    const std::size_t rowTiles =
+        conc <= 1 ? 1
+                  : std::min(ceilDiv(m, std::size_t{16}),
+                             ceilDiv(target, blocks));
+    const std::size_t rowChunk =
+        ceilDiv(ceilDiv(m, rowTiles), std::size_t{kBlockStrip}) *
+        kBlockStrip;
+    const std::size_t grid = ceilDiv(m, rowChunk) * blocks;
+    runTiles(grid, tiles, [&](std::size_t tile) {
+        const std::size_t b = tile % blocks;
+        const std::size_t m0 = (tile / blocks) * rowChunk;
+        sweep(store + b * blockEntries, b, m0, std::min(m, m0 + rowChunk),
+              tileArena(grid, tiles, arena));
     });
 }
 
@@ -1379,8 +1656,14 @@ executeTyped(const GemmProblem& problem, const GemmPlan& plan,
         return;
       }
       case Mode::Op: {
-        const std::uint64_t* aIdx =
-            prepPackedActs(problem.a, prep->p, prep->groups, arena);
+        const std::size_t instances =
+            static_cast<std::size_t>(prep->groups) * n;
+        std::uint64_t* aIdx = arena.u64(kSlotActA, instances);
+        const Chunking chunks = chunkRange(instances, 256, tiles);
+        runTiles(chunks.parts, tiles, [&](std::size_t part) {
+            packActs(problem.a, prep->p, prep->groups, aIdx,
+                     chunks.begin(part), chunks.end(part));
+        });
         const OperationPackedLut& lut = *prep->opLut;
         const T* table;
         if constexpr (kInt) {
@@ -1407,7 +1690,13 @@ executeTyped(const GemmProblem& problem, const GemmPlan& plan,
         const unsigned batch = mode == Mode::CanonStream
                                    ? std::max(1u, prep->kSlices)
                                    : prep->groups;
-        if (useFusedSlices(prep->canonicalLut->rows(), m)) {
+        const std::uint64_t rows = prep->canonicalLut->rows();
+        if (useBlockedSweep(rows, m, prep->groups)) {
+            executeBlocked<T, kInt>(*prep, problem.a, mode, batch, options,
+                                    arena, outData);
+            return;
+        }
+        if (useFusedSlices(rows, m)) {
             executeFused<T, kInt>(*prep, problem.a, mode, batch, options,
                                   arena, outData);
             return;

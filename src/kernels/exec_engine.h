@@ -213,7 +213,8 @@ struct ExecOptions {
      * Vectorize the fused lookup-accumulate inner loops (portable
      * `omp simd`-style autovectorization hints; no ISA assumptions).
      * Bit-exact against the scalar path on every backend: the
-     * vectorized dimension is the OUTPUT rows, so each element's
+     * vectorized dimension is independent OUTPUT elements (rows, or
+     * the eight columns of a blocked sweep), so each element's
      * accumulation order (activation groups ascending, slice windows
      * ascending under streaming) is untouched — only independent
      * output elements advance in lockstep.  False turns the hints off

@@ -816,11 +816,16 @@ InferenceSession::runTileBatch(std::size_t tiles,
     batch->claimChunk = claimChunkFor(tiles, workerCount());
     {
         std::unique_lock<std::mutex> lock(mutex_);
-        // Front of every rank queue: an idle worker's next pop helps
-        // finish the GEMM someone is already executing.  A stale claim
-        // task (batch already exhausted) is popped and dropped.
-        for (auto& queue : rankQueues_) {
-            queue.push_front(Task{nullptr, kTileTask, batch});
+        // One claim task per other worker, dealt round-robin to the
+        // FRONT of the rank queues: every idle worker's next pop helps
+        // finish the GEMM someone is already executing, however many
+        // ranks there are (one claim per queue left all but one idle
+        // worker asleep on a one-rank session).  A stale claim task
+        // (batch already exhausted) is popped and dropped.
+        const std::size_t ranks = rankQueues_.size();
+        for (unsigned i = 0; i + 1 < workerCount(); ++i) {
+            rankQueues_[i % ranks].push_front(
+                Task{nullptr, kTileTask, batch});
         }
     }
     queueCv_.notify_all();

@@ -401,8 +401,9 @@ class InferenceSession
 
     /**
      * TileExecutor over this session's worker pool: run() parks one
-     * claim task per rank queue (at the front — tiles finish the GEMM
-     * someone is already executing), participates in the batch on the
+     * claim task per other worker, round-robin over the rank queues (at
+     * the front — tiles finish the GEMM someone is already executing),
+     * so every idle worker joins; it participates in the batch on the
      * calling thread, and blocks until it settles.  Whole-batch
      * completion is what bounds the wait, so a submitter with no free
      * workers still finishes on its own.

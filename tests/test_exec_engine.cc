@@ -8,18 +8,23 @@
  *    arena, and a warm output vector, executing a GEMM performs ZERO
  *    heap allocations — asserted with a counting global allocator;
  *  - the tile schedule: a 4-hand executor gets a full sweep grid on the
- *    narrow fused-canonical and LTC shapes, bit-identical to serial;
+ *    narrow fused-canonical, LTC and OP shapes, bit-identical to serial;
+ *  - the blocked fused sweep (eight activation columns per weight-index
+ *    load) bit-identical to the per-column sweep, int and float;
  *  - ExecArena growth semantics, weight fingerprinting, the shared
  *    LUT table cache, and TilePool determinism/exception propagation.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <new>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/parallel.h"
@@ -325,7 +330,9 @@ TEST(ExecEngine, NarrowGemmsGetAFullSweepGridOnFourHands)
     // with the 16-column floor at n = 32, ran 2 tiles on any pool.  The
     // sweep (the last batch) must now get at least one tile per hand,
     // bit-identical to serial execution, on the int and float streaming
-    // fused paths, explicit reordering and LTC.
+    // fused paths, explicit reordering, LTC and OP; the build batch
+    // before it (canonicalization, slices, LTC tables, OP activation
+    // packing) must be split across hands too.
     const std::size_t m = 512, k = 256, n = 32;
     const GemmEngine engine(PimSystemConfig::upmemServer());
     PlanOverrides overrides;
@@ -342,19 +349,27 @@ TEST(ExecEngine, NarrowGemmsGetAFullSweepGridOnFourHands)
     // permutations; check it against the reference, not only serial.
     const GemmPlan explicitPlan =
         syntheticPlan(intProblem, DesignPoint::OpLc, 2);
+    // OP packs its activation indices in a build batch before the sweep.
+    const GemmPlan opPlan = syntheticPlan(intProblem, DesignPoint::OpLut, 2);
     const auto reference = referenceGemmInt(intProblem.w, intProblem.a);
-    for (const GemmPlan* plan : {&intPlan, &ltcPlan, &explicitPlan}) {
+    TilePool pool(4);
+    for (const GemmPlan* plan : {&intPlan, &ltcPlan, &explicitPlan,
+                                 &opPlan}) {
         SCOPED_TRACE(designPointName(plan->design));
-        std::vector<std::int32_t> serial, tiled;
+        std::vector<std::int32_t> serial, tiled, pooled;
         executeGemmInt(intProblem, *plan, {}, serial);
         EXPECT_EQ(serial, reference);
         CountingTiles counting;
         ExecOptions options;
         options.tiles = &counting;
         executeGemmInt(intProblem, *plan, options, tiled);
-        ASSERT_FALSE(counting.batches.empty());
+        ASSERT_GE(counting.batches.size(), 2u);
+        EXPECT_GE(counting.batches.front(), 4u);
         EXPECT_GE(counting.batches.back(), 4u);
         EXPECT_EQ(tiled, serial);
+        options.tiles = &pool;
+        executeGemmInt(intProblem, *plan, options, pooled);
+        EXPECT_EQ(pooled, serial);
     }
 
     const GemmProblem floatProblem =
@@ -372,35 +387,155 @@ TEST(ExecEngine, NarrowGemmsGetAFullSweepGridOnFourHands)
     EXPECT_EQ(tiled, serial);
 }
 
+/** Rows [@p r0, @p r1) of @p problem's weights against all of its
+ * activations. */
+GemmProblem
+rowSlice(const GemmProblem& problem, std::size_t r0, std::size_t r1)
+{
+    GemmProblem slice = problem;
+    std::vector<std::uint16_t> codes;
+    codes.reserve((r1 - r0) * problem.k());
+    for (std::size_t mm = r0; mm < r1; ++mm) {
+        for (std::size_t kk = 0; kk < problem.k(); ++kk) {
+            codes.push_back(problem.w.at(mm, kk));
+        }
+    }
+    slice.w.rows = r1 - r0;
+    slice.w.codes = CodeBuffer(std::move(codes));
+    return slice;
+}
+
+/** Float outputs as raw bits, so the comparison is bit-exact (NaN and
+ * signed zeros included). */
+std::vector<std::uint32_t>
+bitsOf(const std::vector<float>& values)
+{
+    std::vector<std::uint32_t> bits(values.size());
+    std::memcpy(bits.data(), values.data(), values.size() * sizeof(float));
+    return bits;
+}
+
+TEST(ExecEngine, BlockedSweepMatchesRowSlicesBelowTheRule)
+{
+    // The blocked sweep (LUT rows * 8 <= m) against the same problem cut
+    // into 64-row slices: each slice falls below the rule and takes the
+    // per-column fused sweep.  Every config has a 16-row LUT, so the
+    // rule cuts at m = 128; n covers a partial block, one block,
+    // several (one batch of shared blocks) and, at n = 130 on 4 hands,
+    // a tile per block.  k = 100 gives 100 groups at p = 1 and 50 at
+    // p = 2: the slice window of 7 divides neither.
+    struct Case {
+        const char* name;
+        QuantConfig cfg;
+        DesignPoint design;
+        unsigned p;
+        bool streaming;
+        unsigned kSlices;
+    };
+    const QuantConfig w4a4 = QuantConfig::preset("W4A4");
+    const QuantConfig w2a2 = QuantConfig::preset("W2A2");
+    const QuantConfig fp = QuantConfig::fpPreset(2, 4);
+    const Case cases[] = {
+        {"int reorder p=1", w4a4, DesignPoint::LoCaLut, 1, false, 1},
+        {"int stream", w2a2, DesignPoint::LoCaLut, 2, true, 7},
+        {"int reorder", w2a2, DesignPoint::OpLcRc, 2, false, 1},
+        {"int explicit", w2a2, DesignPoint::OpLc, 2, false, 1},
+        {"float stream", fp, DesignPoint::LoCaLut, 2, true, 7},
+        {"float reorder", fp, DesignPoint::OpLcRc, 2, false, 1},
+        {"float explicit", fp, DesignPoint::OpLc, 2, false, 1},
+    };
+    const std::size_t k = 100, sliceRows = 64;
+    TilePool pool(4);
+    std::uint64_t seed = 500;
+    for (const std::size_t m : {120, 128, 136, 768}) {
+        for (const std::size_t n : {1, 7, 8, 9, 17, 64, 130}) {
+            for (const Case& c : cases) {
+                SCOPED_TRACE(std::string(c.name) + " m=" +
+                             std::to_string(m) + " n=" + std::to_string(n));
+                const GemmProblem problem =
+                    makeRandomProblem(m, k, n, c.cfg, ++seed);
+                const GemmPlan plan = syntheticPlan(
+                    problem, c.design, c.p, c.streaming, c.kSlices);
+                const bool isInt = c.cfg.actCodec.isInteger();
+                std::vector<std::int32_t> expectInt(m * n), outInt;
+                std::vector<float> expectFloat(m * n), outFloat;
+                for (std::size_t r0 = 0; r0 < m; r0 += sliceRows) {
+                    const std::size_t r1 = std::min(m, r0 + sliceRows);
+                    const GemmProblem slice = rowSlice(problem, r0, r1);
+                    const GemmPlan slicePlan = syntheticPlan(
+                        slice, c.design, c.p, c.streaming, c.kSlices);
+                    if (isInt) {
+                        executeGemmInt(slice, slicePlan, {}, outInt);
+                        std::copy(outInt.begin(), outInt.end(),
+                                  expectInt.begin() + r0 * n);
+                    } else {
+                        executeGemmFloat(slice, slicePlan, {}, outFloat);
+                        std::copy(outFloat.begin(), outFloat.end(),
+                                  expectFloat.begin() + r0 * n);
+                    }
+                }
+                if (isInt) {
+                    EXPECT_EQ(expectInt,
+                              referenceGemmInt(problem.w, problem.a));
+                }
+                for (const unsigned hands : {1u, 4u}) {
+                    ExecOptions options;
+                    options.tiles = hands > 1 ? &pool : nullptr;
+                    if (isInt) {
+                        executeGemmInt(problem, plan, options, outInt);
+                        EXPECT_EQ(outInt, expectInt) << hands << " hands";
+                    } else {
+                        executeGemmFloat(problem, plan, options, outFloat);
+                        EXPECT_EQ(bitsOf(outFloat), bitsOf(expectFloat))
+                            << hands << " hands";
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(ExecEngine, SteadyStateExecutionPerformsZeroAllocations)
 {
     const QuantConfig cfg = QuantConfig::preset("W4A4");
-    const GemmProblem problem = makeRandomProblem(64, 96, 12, cfg, 3);
-    const GemmPlan plan =
-        syntheticPlan(problem, DesignPoint::LoCaLut, 2, true, 4);
-    const auto prepared = prepareGemm(problem, plan);
+    // The per-column fused sweep (p = 2: 256 LUT rows > 64 / 8), and the
+    // blocked sweep (p = 1: 16 rows x 8 <= 256) over two column blocks.
+    const GemmProblem fusedProblem = makeRandomProblem(64, 96, 12, cfg, 3);
+    const GemmProblem blockedProblem =
+        makeRandomProblem(256, 96, 12, cfg, 4);
+    const struct {
+        const GemmProblem* problem;
+        unsigned p;
+    } cases[] = {{&fusedProblem, 2}, {&blockedProblem, 1}};
+    for (const auto& c : cases) {
+        SCOPED_TRACE("p=" + std::to_string(c.p));
+        const GemmProblem& problem = *c.problem;
+        const GemmPlan plan =
+            syntheticPlan(problem, DesignPoint::LoCaLut, c.p, true, 4);
+        const auto prepared = prepareGemm(problem, plan);
 
-    ExecArena arena;
-    ExecOptions options;
-    options.prepared = prepared.get();
-    options.arena = &arena;
+        ExecArena arena;
+        ExecOptions options;
+        options.prepared = prepared.get();
+        options.arena = &arena;
 
-    // Warm-up: grows the arena buffers and the output vector.
-    std::vector<std::int32_t> out;
-    executeGemmInt(problem, plan, options, out);
-    const auto reference = out;
-    const std::uint64_t grownBuffers = arena.allocations();
-    EXPECT_GT(grownBuffers, 0u);
-
-    // Steady state: repeated execution allocates NOTHING — no arena
-    // growth and zero operator-new calls on this thread.
-    for (int i = 0; i < 3; ++i) {
-        const std::uint64_t before = tlsAllocations;
+        // Warm-up: grows the arena buffers and the output vector.
+        std::vector<std::int32_t> out;
         executeGemmInt(problem, plan, options, out);
-        EXPECT_EQ(tlsAllocations - before, 0u) << "iteration " << i;
+        const auto reference = out;
+        const std::uint64_t grownBuffers = arena.allocations();
+        EXPECT_GT(grownBuffers, 0u);
+
+        // Steady state: repeated execution allocates NOTHING — no arena
+        // growth and zero operator-new calls on this thread.
+        for (int i = 0; i < 3; ++i) {
+            const std::uint64_t before = tlsAllocations;
+            executeGemmInt(problem, plan, options, out);
+            EXPECT_EQ(tlsAllocations - before, 0u) << "iteration " << i;
+        }
+        EXPECT_EQ(arena.allocations(), grownBuffers);
+        EXPECT_EQ(out, reference);
     }
-    EXPECT_EQ(arena.allocations(), grownBuffers);
-    EXPECT_EQ(out, reference);
 }
 
 TEST(ExecEngine, ArenaBuffersGrowButNeverShrink)

@@ -2,16 +2,22 @@
  * @file
  * InferenceSession tests: asynchronous submit/wait matches the
  * synchronous engine bit-for-bit, compiled workloads match the
- * TransformerRunner, decode steps reuse cached plans, and errors raised
- * inside worker threads surface at wait().
+ * TransformerRunner, decode steps reuse cached plans, errors raised
+ * inside worker threads surface at wait(), and a GEMM's tile batch
+ * reaches every idle worker.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "backend/backend.h"
+#include "backend/host_backend.h"
 #include "nn/inference.h"
 #include "serving/session.h"
 
@@ -82,6 +88,59 @@ TEST(InferenceSession, TileParallelPreparedServingIsBitExact)
                   .outInt,
               sync.outInt);
     EXPECT_EQ(session.planCacheStats().preparedMisses, 0u);
+}
+
+/** A host-cpu backend whose execute() first runs a tile batch on the
+ * executor it is handed, recording which threads ran its tiles. */
+class TileProbeBackend final : public HostBackend
+{
+  public:
+    TileProbeBackend()
+        : HostBackend("tile-probe", RooflineDevice::xeonGold5215())
+    {}
+
+    using Backend::execute;
+    GemmResult
+    execute(const GemmProblem& problem, const GemmPlan& plan,
+            const ExecOptions& options) const override
+    {
+        if (options.tiles != nullptr) {
+            concurrency = options.tiles->concurrency();
+            options.tiles->run(64, [this](std::size_t) {
+                {
+                    std::lock_guard<std::mutex> lock(mutex);
+                    threads.insert(std::this_thread::get_id());
+                }
+                // Long enough that every woken worker gets a claim.
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            });
+        }
+        return HostBackend::execute(problem, plan, options);
+    }
+
+    mutable std::mutex mutex;
+    mutable std::set<std::thread::id> threads;
+    mutable unsigned concurrency = 0;
+};
+
+TEST(Session, TileBatchReachesEveryIdleWorker)
+{
+    // One rank queue, four workers: the GEMM runs on one worker and its
+    // tile batch must reach the other three, as concurrency() promises.
+    const auto backend = std::make_shared<TileProbeBackend>();
+    SessionOptions options;
+    options.workers = 4;
+    options.numRanks = 1;
+    options.computeValues = true;
+    InferenceSession session(backend, options);
+    const GemmProblem problem =
+        makeRandomProblem(32, 48, 8, QuantConfig::preset("W4A4"), 3);
+    const GemmResult result =
+        session.wait(session.submit(problem, DesignPoint::LoCaLut));
+    EXPECT_EQ(result.outInt, referenceGemmInt(problem.w, problem.a));
+    EXPECT_EQ(backend->concurrency, 4u);
+    std::lock_guard<std::mutex> lock(backend->mutex);
+    EXPECT_EQ(backend->threads.size(), 4u);
 }
 
 TEST(InferenceSession, BatchedSubmissionsAllComplete)
